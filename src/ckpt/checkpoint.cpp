@@ -8,6 +8,13 @@
 
 namespace remapd {
 namespace ckpt {
+namespace {
+
+/// Smallest section-table entry: an empty name (its u64 length), then the
+/// u64 offset, u64 size and u32 CRC.
+constexpr std::size_t kMinTableEntryBytes = 8 + 8 + 8 + 4;
+
+}  // namespace
 
 ByteWriter& CheckpointWriter::section(const std::string& name) {
   for (const auto& [n, w] : sections_)
@@ -115,6 +122,14 @@ void CheckpointReader::parse_and_validate() {
   // reader over the whole remainder, then CRC exactly the span consumed.
   ByteReader table(bytes_.data() + header_fixed,
                    bytes_.size() - header_fixed);
+  // The count is unvalidated until the table CRC is checked: bound it by
+  // what the remaining bytes can hold before reserving, so a corrupt count
+  // is a CheckpointError rather than a giant allocation.
+  if (count > table.remaining() / kMinTableEntryBytes)
+    throw CheckpointError("section table claims " + std::to_string(count) +
+                          " entries, more than " +
+                          std::to_string(table.remaining()) +
+                          " bytes can hold");
   toc_.clear();
   toc_.reserve(count);
   std::size_t table_bytes = 0;
@@ -187,6 +202,10 @@ void save_string_pairs(
 std::vector<std::pair<std::string, std::string>> load_string_pairs(
     ByteReader& r) {
   const std::uint64_t n = r.u64();
+  // Each pair is at least two empty strings (two u64 lengths).
+  if (n > r.remaining() / 16)
+    throw CheckpointError("string-pair count " + std::to_string(n) +
+                          " overruns section");
   std::vector<std::pair<std::string, std::string>> pairs;
   pairs.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {

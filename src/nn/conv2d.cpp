@@ -1,13 +1,69 @@
 #include "nn/conv2d.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <stdexcept>
-#include <vector>
 
 #include "telemetry/telemetry.hpp"
 #include "tensor/gemm.hpp"
 #include "util/parallel.hpp"
 
 namespace remapd {
+namespace {
+
+std::atomic<std::uint64_t> g_conv_scratch_allocs{0};
+
+// Per-thread block panels, shared by every layer and call (workers
+// persist, so they stop growing once the largest block has been seen).
+// t_in holds a block's GEMM B operand (eval im2col panel, gathered dy),
+// t_out its GEMM output (y panel, dcol panel). t_partials holds the
+// calling thread's dW/db partials for one backward wave.
+thread_local ConvScratch t_in, t_out, t_partials;
+
+// Eval-mode weight panels. Eval forwards may run concurrently on several
+// threads, so they cannot share the layer's members; a thread runs one
+// layer call at a time, so one panel per thread serves every layer.
+thread_local GemmAPack t_eval_pack;
+thread_local Int8APack t_eval_i8;
+
+/// Fewest GEMM columns a sample block spans. Deep layers have tiny OH*OW
+/// (4 at stage 3), so one sample fills a quarter of the micro-kernel's
+/// 16 lanes; a block of samples fills whole strips.
+constexpr std::size_t kMinBlockCols = 64;
+
+/// Workers a layer call can use: a call made inside a parallel region
+/// (eval batches run concurrently) executes its loops inline.
+std::size_t usable_threads() {
+  return in_parallel_region() ? 1 : parallel_threads();
+}
+
+/// Samples per block: at least kMinBlockCols GEMM columns, capped so the
+/// batch still splits into at least one block per usable thread. Forward
+/// and dX results do not depend on it — each output element's
+/// accumulation order is a function of the depth only (DESIGN §13).
+std::size_t sample_block(std::size_t n, std::size_t cc) {
+  const std::size_t want = (kMinBlockCols + cc - 1) / cc;
+  const std::size_t cap = std::max<std::size_t>(1, n / usable_threads());
+  return std::max<std::size_t>(1, std::min(want, cap));
+}
+
+}  // namespace
+
+float* ConvScratch::ensure(std::size_t n) {
+  if (buf.size() < n) {
+    // Free first, then allocate exactly n: the contents are scratch, and
+    // growing in place would copy them and over-allocate, raising peak RSS.
+    buf = std::vector<float>();
+    buf.resize(n);
+    g_conv_scratch_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  return buf.data();
+}
+
+std::uint64_t conv_scratch_allocations() {
+  return g_conv_scratch_allocs.load(std::memory_order_relaxed);
+}
 
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
                std::size_t kernel, std::size_t stride, std::size_t pad,
@@ -48,33 +104,32 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
                    kernel_, kernel_, stride_, pad_};
   const std::size_t cr = g.col_rows(), cc = g.col_cols();
   const std::size_t oh = g.out_h(), ow = g.out_w();
+  const std::size_t in_plane = in_ch_ * g.height * g.width;
 
-  Tensor cols(Shape{n, cr * cc});
   Tensor y(Shape{n, out_ch_, oh, ow});
   // Eval-mode forwards may run concurrently (parallel test-set batches), so
   // the clamped-weight cache member and the packed panel member are only
-  // written on the single-threaded training path; eval uses call-locals.
+  // written on the single-threaded training path; eval uses a call-local
+  // weight cache and per-thread panels.
   Tensor local_eff;
   const Tensor& we =
       effective_weights(fwd_view_, train ? fwd_eff_ : local_eff);
 
   // Fused path: pack the effective-weight panel once, reuse it across every
-  // sample's GEMM (the old path re-read — and the packed kernel would have
-  // re-packed — We per sample). Packing does not change the per-sample
-  // arithmetic: multiply() performs exactly gemm()'s FP operations, and a
-  // non-finite effective weight (diverged or full-scale-stuck cell) still
-  // reaches C as 0 * NaN/Inf = NaN — the products are always issued, so the
+  // block's GEMM. Packing does not change the arithmetic: multiply()
+  // performs exactly gemm()'s FP operations, and a non-finite effective
+  // weight (diverged or full-scale-stuck cell) still reaches C as
+  // 0 * NaN/Inf = NaN — the products are always issued, so the
   // ZeroSkipGate contract (sparsity must never mask NaN/Inf) holds by
   // construction.
   const bool int8 = fwd_view_ && fwd_view_->int8_selected();
-  GemmAPack local_pack;
-  Int8APack local_i8;
-  GemmAPack& wpack = train ? fwd_pack_ : local_pack;
-  Int8APack& wi8 = train ? fwd_i8_ : local_i8;
+  GemmAPack& wpack = train ? fwd_pack_ : t_eval_pack;
+  Int8APack& wi8 = train ? fwd_i8_ : t_eval_i8;
   if (int8) {
     wi8.pack(out_ch_, cr, StridedOperand{we.data(), cr, 1},
              fwd_view_->int8_weight_scale());
     telemetry::count("nn.conv.int8_flops", 2ull * out_ch_ * cc * cr * n);
+    telemetry::count("nn.conv.int8_fallbacks", 0);  // visible at zero
   } else {
     wpack.pack(out_ch_, cr, 1.0f, StridedOperand{we.data(), cr, 1});
     // Fused multiplies bypass gemm()'s counters; account for them here so
@@ -82,36 +137,54 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     telemetry::count("nn.conv.fused_flops", 2ull * out_ch_ * cc * cr * n);
   }
 
-  // Samples are independent (disjoint cols/y slices, no reduction), so the
-  // batch loop parallelizes without any change to per-sample arithmetic.
-  parallel_for(0, n, 1, [&](std::size_t s0, std::size_t s1) {
-    for (std::size_t i = s0; i < s1; ++i) {
-      float* col = cols.data() + i * cr * cc;
-      im2col(x.data() + i * in_ch_ * g.height * g.width, g, col);
-      // y_i = We (out x cr) * col (cr x cc)
-      float* yi = y.data() + i * out_ch_ * cc;
-      if (int8) {
-        // Non-finite activations take the fp32 route so divergence is
-        // never clamped away by quantization.
-        if (!wi8.multiply(cc, StridedOperand{col, cc, 1}, yi, cc))
-          gemm(false, false, out_ch_, cc, cr, 1.0f, we.data(), cr, col, cc,
-               0.0f, yi, cc);
-      } else {
-        wpack.multiply(cc, col, cc, 0.0f, yi, cc);
+  // Sample blocks: each block's samples sit side by side in one
+  // cr x (bn*cc) im2col panel, so one GEMM covers the whole block. Blocks
+  // write disjoint y slices, so the loop parallelizes freely; in
+  // compute_packed an output element's accumulation order depends only on
+  // the depth cr, so y is bitwise the per-sample result at any block size.
+  const std::size_t bs = sample_block(n, cc);
+  float* train_cols = train ? last_cols_.ensure(n * cr * cc) : nullptr;
+  parallel_for_blocks(0, n, bs,
+                      [&](std::size_t s0, std::size_t s1, std::size_t) {
+    const std::size_t ld = (s1 - s0) * cc;
+    float* cols = train ? train_cols + s0 * cr * cc : t_in.ensure(cr * ld);
+    // A one-sample panel already has y's layout: write it in place.
+    float* yp = s1 - s0 == 1 ? y.data() + s0 * out_ch_ * cc
+                             : t_out.ensure(out_ch_ * ld);
+    for (std::size_t i = s0; i < s1; ++i)
+      im2col(x.data() + i * in_plane, g, cols + (i - s0) * cc, ld);
+    if (int8) {
+      // The activation scale is per call, so the int8 GEMM stays per
+      // sample. Non-finite activations take the fp32 route so divergence
+      // is never clamped away by quantization.
+      for (std::size_t i = s0; i < s1; ++i) {
+        const float* col = cols + (i - s0) * cc;
+        float* yi = yp + (i - s0) * cc;
+        if (!wi8.multiply(cc, StridedOperand{col, ld, 1}, yi, ld)) {
+          telemetry::count("nn.conv.int8_fallbacks");
+          gemm(false, false, out_ch_, cc, cr, 1.0f, we.data(), cr, col, ld,
+               0.0f, yi, ld);
+        }
       }
-      // Bias broadcast over spatial positions.
+    } else {
+      wpack.multiply(ld, cols, ld, 0.0f, yp, ld);
+    }
+    // Scatter into y (sample-major) with the bias broadcast over spatial
+    // positions.
+    for (std::size_t i = s0; i < s1; ++i) {
       for (std::size_t o = 0; o < out_ch_; ++o) {
-        float* plane = y.data() + (i * out_ch_ + o) * cc;
+        const float* src = yp + o * ld + (i - s0) * cc;
+        float* dst = y.data() + (i * out_ch_ + o) * cc;
         const float b = bias_.value[o];
-        for (std::size_t p = 0; p < cc; ++p) plane[p] += b;
+        for (std::size_t p = 0; p < cc; ++p) dst[p] = src[p] + b;
       }
     }
   });
 
   if (train) {
-    last_cols_ = std::move(cols);
     last_geom_ = g;
     last_batch_ = n;
+    last_block_ = bs;
   }
   return y;
 }
@@ -121,7 +194,10 @@ Tensor Conv2d::backward(const Tensor& dy) {
     throw std::logic_error(tag_ + ": backward without forward(train)");
   const ConvGeom& g = last_geom_;
   const std::size_t n = last_batch_;
+  const std::size_t bs = last_block_;
   const std::size_t cr = g.col_rows(), cc = g.col_cols();
+  const std::size_t in_plane = in_ch_ * g.height * g.width;
+  const std::size_t out_plane = out_ch_ * cc;
 
   // Parameter gradients are accumulated digitally: the weight-update path
   // in the target RCS aggregates dW in CMOS peripherals; only the analog
@@ -129,68 +205,101 @@ Tensor Conv2d::backward(const Tensor& dy) {
   Tensor dx(Shape{n, in_ch_, g.height, g.width});
   const Tensor& wb = effective_weights(bwd_view_, bwd_eff_);
   // Fused path: pack We_bwd^T once (strides express the transpose — no
-  // transposed copy is ever materialized) and reuse across all samples.
+  // transposed copy is ever materialized) and reuse across all blocks.
   const bool int8 = bwd_view_ && bwd_view_->int8_selected();
   if (int8) {
     bwd_i8_.pack(cr, out_ch_, StridedOperand{wb.data(), 1, cr},
                  bwd_view_->int8_weight_scale());
     telemetry::count("nn.conv.int8_flops", 2ull * cr * cc * out_ch_ * n);
+    telemetry::count("nn.conv.int8_fallbacks", 0);  // visible at zero
   } else {
     bwd_pack_.pack(cr, out_ch_, 1.0f, StridedOperand{wb.data(), 1, cr});
     telemetry::count("nn.conv.fused_flops", 2ull * cr * cc * out_ch_ * n);
   }
 
-  // dW/db accumulate across samples — a reduction. Each block of samples
-  // sums into its own scratch, and the scratches are merged in block-index
-  // order below. The block structure depends only on the batch size, so
-  // the FP summation grouping (and thus the result) is identical at any
-  // thread count, including the serial path.
-  const std::size_t grain = reduction_grain(n);
-  const std::size_t nb = num_blocks(0, n, grain);
-  std::vector<Tensor> dw_scratch(nb);
-  std::vector<std::vector<float>> db_scratch(
-      nb, std::vector<float>(out_ch_, 0.0f));
-  for (Tensor& t : dw_scratch) t = Tensor::zeros(weight_.grad.shape());
-
-  parallel_for_blocks(0, n, grain,
-                      [&](std::size_t s0, std::size_t s1, std::size_t blk) {
-    Tensor dcol(Shape{cr, cc});
-    Tensor& dw = dw_scratch[blk];
-    std::vector<float>& db = db_scratch[blk];
-    for (std::size_t i = s0; i < s1; ++i) {
-      const float* dyi = dy.data() + i * out_ch_ * cc;
-      const float* col = last_cols_.data() + i * cr * cc;
-      // dW_blk += dy_i (out x cc) * col^T (cc x cr); dy_i differs per
-      // sample, so this one goes through gemm (whose packing layer absorbs
-      // the col^T transpose without a copy).
-      gemm(false, true, out_ch_, cr, cc, 1.0f, dyi, cc, col, cc, 1.0f,
-           dw.data(), cr);
-      // dcol = We_bwd^T (cr x out) * dy_i (out x cc) — shared packed panel.
-      if (int8) {
-        if (!bwd_i8_.multiply(cc, StridedOperand{dyi, cc, 1}, dcol.data(), cc))
+  // dX, one GEMM per forward block: dcol = We_bwd^T (cr x out) * the
+  // block's dy gathered into an out x (bn*cc) panel, then col2im per
+  // sample. Blocks write disjoint dx slices.
+  parallel_for_blocks(0, n, bs,
+                      [&](std::size_t s0, std::size_t s1, std::size_t) {
+    const std::size_t ld = (s1 - s0) * cc;
+    float* dcol = t_out.ensure(cr * ld);
+    if (int8) {
+      for (std::size_t i = s0; i < s1; ++i) {
+        const float* dyi = dy.data() + i * out_plane;
+        float* dci = dcol + (i - s0) * cc;
+        if (!bwd_i8_.multiply(cc, StridedOperand{dyi, cc, 1}, dci, ld)) {
+          telemetry::count("nn.conv.int8_fallbacks");
           gemm(true, false, cr, cc, out_ch_, 1.0f, wb.data(), cr, dyi, cc,
-               0.0f, dcol.data(), cc);
-      } else {
-        bwd_pack_.multiply(cc, dyi, cc, 0.0f, dcol.data(), cc);
+               0.0f, dci, ld);
+        }
       }
-      col2im(dcol.data(), g, dx.data() + i * in_ch_ * g.height * g.width);
-      // db_blk += sum over spatial.
-      for (std::size_t o = 0; o < out_ch_; ++o) {
-        const float* plane = dyi + o * cc;
-        float s = 0.0f;
-        for (std::size_t p = 0; p < cc; ++p) s += plane[p];
-        db[o] += s;
+    } else {
+      // A one-sample block's dy slice already is the panel.
+      const float* dyp = dy.data() + s0 * out_plane;
+      if (s1 - s0 > 1) {
+        float* gathered = t_in.ensure(out_ch_ * ld);
+        for (std::size_t i = s0; i < s1; ++i)
+          for (std::size_t o = 0; o < out_ch_; ++o)
+            std::memcpy(gathered + o * ld + (i - s0) * cc,
+                        dy.data() + i * out_plane + o * cc,
+                        cc * sizeof(float));
+        dyp = gathered;
       }
+      bwd_pack_.multiply(ld, dyp, ld, 0.0f, dcol, ld);
     }
+    for (std::size_t i = s0; i < s1; ++i)
+      col2im(dcol + (i - s0) * cc, g, dx.data() + i * in_plane, ld);
   });
 
-  // Fixed-order merge of the per-block partials.
-  for (std::size_t blk = 0; blk < nb; ++blk) {
-    const Tensor& dw = dw_scratch[blk];
-    for (std::size_t e = 0; e < weight_.grad.numel(); ++e)
-      weight_.grad[e] += dw[e];
-    for (std::size_t o = 0; o < out_ch_; ++o)
-      bias_.grad[o] += db_scratch[blk][o];
+  // dW/db accumulate across samples — a reduction. Each block of
+  // reduction_grain(n) samples sums into its own partial, and the partials
+  // are merged in block-index order. The block structure depends only on
+  // the batch size, so the FP summation grouping (and thus the result) is
+  // identical at any thread count, including the serial path. Blocks run
+  // in waves of one per usable thread, each wave merged before the next,
+  // so at most that many partials are live.
+  const std::size_t grain = reduction_grain(n);
+  const std::size_t nb = num_blocks(0, n, grain);
+  const std::size_t wave = std::min(nb, usable_threads());
+  const std::size_t wn = weight_.grad.numel();
+  const std::size_t slot = wn + out_ch_;  // one dW partial, then its db
+  float* partials = t_partials.ensure(wave * slot);
+  for (std::size_t w0 = 0; w0 < nb; w0 += wave) {
+    const std::size_t w1 = std::min(nb, w0 + wave);
+    parallel_for(w0, w1, 1, [&](std::size_t b0, std::size_t b1) {
+      for (std::size_t blk = b0; blk < b1; ++blk) {
+        float* dw = partials + (blk - w0) * slot;
+        float* db = dw + wn;
+        std::fill(db, db + out_ch_, 0.0f);
+        const std::size_t s0 = blk * grain, s1 = std::min(n, s0 + grain);
+        for (std::size_t i = s0; i < s1; ++i) {
+          const float* dyi = dy.data() + i * out_plane;
+          // Sample i's im2col matrix inside its forward block's panel.
+          const std::size_t f0 = i / bs * bs;
+          const std::size_t ld = std::min(bs, n - f0) * cc;
+          const float* col =
+              last_cols_.buf.data() + f0 * cr * cc + (i - f0) * cc;
+          // dW_blk += dy_i (out x cc) * col^T (cc x cr); the first sample
+          // stores instead (beta = 0 writes 0 + x, as += into zeros did).
+          gemm(false, true, out_ch_, cr, cc, 1.0f, dyi, cc, col, ld,
+               i == s0 ? 0.0f : 1.0f, dw, cr);
+          for (std::size_t o = 0; o < out_ch_; ++o) {
+            const float* plane = dyi + o * cc;
+            float s = 0.0f;
+            for (std::size_t p = 0; p < cc; ++p) s += plane[p];
+            db[o] += s;
+          }
+        }
+      }
+    });
+    // Fixed-order merge of this wave's partials.
+    for (std::size_t blk = w0; blk < w1; ++blk) {
+      const float* dw = partials + (blk - w0) * slot;
+      for (std::size_t e = 0; e < wn; ++e) weight_.grad[e] += dw[e];
+      for (std::size_t o = 0; o < out_ch_; ++o)
+        bias_.grad[o] += dw[wn + o];
+    }
   }
   // Gradient components that traverse stuck backward-array cells are
   // pinned at a fixed sign and full-scale magnitude relative to the MVM's

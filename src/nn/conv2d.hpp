@@ -4,7 +4,9 @@
 // FaultView's (the physically distinct W^T crossbars).
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "nn/layer.hpp"
 #include "tensor/gemm_int8.hpp"
@@ -12,6 +14,19 @@
 #include "tensor/im2col.hpp"
 
 namespace remapd {
+
+/// Grow-only float buffer for conv scratch panels. ensure() reallocates
+/// only when a larger size is asked for, and counts each growth in
+/// conv_scratch_allocations().
+struct ConvScratch {
+  std::vector<float> buf;
+  float* ensure(std::size_t n);
+};
+
+/// Process-wide count of conv scratch growths (heap allocations): the
+/// thread-local block panels and dW/db partials plus each layer's training
+/// im2col panel. Repeated training steps of one shape leave it flat.
+std::uint64_t conv_scratch_allocations();
 
 class Conv2d final : public Layer, public FaultableLayer {
  public:
@@ -55,21 +70,25 @@ class Conv2d final : public Layer, public FaultableLayer {
 
   // Fused-path weight panels: the effective-weight (forward) and
   // effective-weight-transpose (backward) matrices are packed ONCE per
-  // layer call and reused across every sample's GEMM, instead of re-reading
-  // (and re-packing) the weight matrix per sample. Members are only touched
-  // on the training path — eval forwards may run concurrently, so they pack
-  // into a call-local panel (mirroring the fwd_eff_ cache rule).
+  // layer call and reused across every sample block's GEMM. Members are
+  // only touched on the training path — eval forwards may run
+  // concurrently, so they pack into per-thread panels instead (mirroring
+  // the fwd_eff_ cache rule).
   GemmAPack fwd_pack_, bwd_pack_;
   // Int8 fast path (taken when the FaultView selects it): the effective
   // weights are exact small integers on the cell level grid, so the MVM
   // runs as an exact int32 GEMM with one fp32 dequantization multiply.
-  // Same member-vs-local rule as the fp32 panels.
+  // Same member-vs-per-thread rule as the fp32 panels.
   Int8APack fwd_i8_, bwd_i8_;
 
-  // Saved for backward.
-  Tensor last_cols_;  ///< im2col buffers, shape {N, col_rows*col_cols}
+  // Saved for backward: the im2col panels of the whole batch, stored block
+  // by block. Block b (samples [b*B, b*B + bn)) starts at b*B*col_rows*
+  // col_cols and is a col_rows x bn*col_cols matrix; sample i owns its
+  // col_cols columns at offset (i - b*B)*col_cols.
+  ConvScratch last_cols_;
   ConvGeom last_geom_{};
   std::size_t last_batch_ = 0;
+  std::size_t last_block_ = 1;  ///< samples per block (B above)
 };
 
 }  // namespace remapd

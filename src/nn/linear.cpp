@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "telemetry/telemetry.hpp"
 #include "tensor/gemm.hpp"
 
 namespace remapd {
@@ -65,6 +66,9 @@ Tensor Linear::forward(const Tensor& x, bool train) {
           y.at(i, o) = ct[o * n + i];
       done = true;
     }
+    // Counting 0 still registers the counter, so it reads zero when
+    // nothing fell back.
+    telemetry::count("nn.linear.int8_fallbacks", done ? 0 : 1);
   }
   if (!done)
     gemm(false, true, n, out_f_, in_f_, 1.0f, x2.data(), in_f_, we.data(),
@@ -110,6 +114,7 @@ Tensor Linear::backward(const Tensor& dy) {
           dx.at(i, j) = ct[j * n + i];
       done = true;
     }
+    telemetry::count("nn.linear.int8_fallbacks", done ? 0 : 1);
   }
   if (!done)
     gemm(false, false, n, in_f_, out_f_, 1.0f, dy.data(), out_f_, wb.data(),

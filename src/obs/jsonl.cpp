@@ -9,6 +9,8 @@ namespace obs {
 namespace {
 
 struct Cursor {
+  explicit Cursor(std::string_view text) : s(text) {}
+
   std::string_view s;
   std::size_t pos = 0;
   std::string err;

@@ -29,15 +29,17 @@ LoweringTelemetry& col2im_telemetry() {
 
 }  // namespace
 
-void im2col(const float* img, const ConvGeom& g, float* col) {
+void im2col(const float* img, const ConvGeom& g, float* col,
+            std::size_t ld) {
   LoweringTelemetry& telem = im2col_telemetry();
   telemetry::KernelTimer timer(telem.calls, telem.ns);
   const std::size_t oh = g.out_h(), ow = g.out_w();
+  if (ld == 0) ld = oh * ow;
   std::size_t row = 0;
   for (std::size_t c = 0; c < g.channels; ++c) {
     for (std::size_t kh = 0; kh < g.kernel_h; ++kh) {
       for (std::size_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-        float* dst = col + row * oh * ow;
+        float* dst = col + row * ld;
         for (std::size_t y = 0; y < oh; ++y) {
           // Input row for this output row; pad handled by bounds check.
           const long iy = static_cast<long>(y * g.stride + kh) -
@@ -79,15 +81,17 @@ void im2col(const float* img, const ConvGeom& g, float* col) {
   }
 }
 
-void col2im(const float* col, const ConvGeom& g, float* img) {
+void col2im(const float* col, const ConvGeom& g, float* img,
+            std::size_t ld) {
   LoweringTelemetry& telem = col2im_telemetry();
   telemetry::KernelTimer timer(telem.calls, telem.ns);
   const std::size_t oh = g.out_h(), ow = g.out_w();
+  if (ld == 0) ld = oh * ow;
   std::size_t row = 0;
   for (std::size_t c = 0; c < g.channels; ++c) {
     for (std::size_t kh = 0; kh < g.kernel_h; ++kh) {
       for (std::size_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-        const float* src = col + row * oh * ow;
+        const float* src = col + row * ld;
         for (std::size_t y = 0; y < oh; ++y) {
           const long iy = static_cast<long>(y * g.stride + kh) -
                           static_cast<long>(g.pad);

@@ -27,11 +27,17 @@ struct ConvGeom {
   [[nodiscard]] std::size_t col_cols() const { return out_h() * out_w(); }
 };
 
-/// Expand one image (C,H,W row-major) into `col` of size col_rows x col_cols.
-void im2col(const float* img, const ConvGeom& g, float* col);
+/// Expand one image (C,H,W row-major) into `col`, a col_rows x col_cols
+/// matrix whose rows are `ld` floats apart. `ld` = 0 means col_cols() (a
+/// dense matrix); a larger `ld` lets several samples share one panel, each
+/// in its own column range (the sample-blocked conv layout).
+void im2col(const float* img, const ConvGeom& g, float* col,
+            std::size_t ld = 0);
 
-/// Inverse scatter-add: accumulate `col` back into `img` (must be zeroed by
-/// the caller when a fresh gradient is wanted).
-void col2im(const float* col, const ConvGeom& g, float* img);
+/// Inverse scatter-add: accumulate `col` (rows `ld` floats apart, 0 =
+/// col_cols()) back into `img` (must be zeroed by the caller when a fresh
+/// gradient is wanted).
+void col2im(const float* col, const ConvGeom& g, float* img,
+            std::size_t ld = 0);
 
 }  // namespace remapd

@@ -174,6 +174,17 @@ TEST(Checkpoint, EveryFlippedByteIsRejected) {
   }
 }
 
+TEST(Checkpoint, OversizedStringPairCountIsRejectedBeforeAllocating) {
+  // A count no section could hold (two u64 lengths per pair) is a typed
+  // error, not a reserve() of billions of pairs.
+  ckpt::ByteWriter w;
+  w.u64(std::uint64_t{1} << 40);
+  w.str("k");
+  w.str("v");
+  ckpt::ByteReader r(w.bytes().data(), w.bytes().size());
+  EXPECT_THROW(ckpt::load_string_pairs(r), ckpt::CheckpointError);
+}
+
 TEST(Checkpoint, TruncationIsRejected) {
   const std::string good = small_checkpoint().serialize();
   for (const std::size_t keep :

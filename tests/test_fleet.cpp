@@ -114,7 +114,7 @@ TEST(FleetJobfile, RejectsBadValuesNamingLineAndField) {
       "ok,4\n"
       "bad,abc\n";
   try {
-    parse_jobs_csv(csv, "jobs.csv");
+    (void)parse_jobs_csv(csv, "jobs.csv");
     FAIL() << "expected FleetError";
   } catch (const FleetError& e) {
     const std::string msg = e.what();
@@ -126,7 +126,7 @@ TEST(FleetJobfile, RejectsBadValuesNamingLineAndField) {
 
 TEST(FleetJobfile, RejectsUnknownColumnOnHeaderLine) {
   try {
-    parse_jobs_csv("name,epochz\nx,4\n", "jobs.csv");
+    (void)parse_jobs_csv("name,epochz\nx,4\n", "jobs.csv");
     FAIL() << "expected FleetError";
   } catch (const FleetError& e) {
     const std::string msg = e.what();
@@ -145,7 +145,7 @@ TEST(FleetJobfile, RejectsRaggedRowsZeroEpochsAndDuplicates) {
 TEST(FleetJobfile, RejectsMalformedJson) {
   // Unknown key, with its line number.
   try {
-    parse_jobs_json("[\n {\"name\": \"a\",\n  \"epoch\": 3}\n]", "j");
+    (void)parse_jobs_json("[\n {\"name\": \"a\",\n  \"epoch\": 3}\n]", "j");
     FAIL() << "expected FleetError";
   } catch (const FleetError& e) {
     const std::string msg = e.what();

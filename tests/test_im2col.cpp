@@ -84,6 +84,48 @@ TEST_P(Im2ColPropertyTest, Col2ImIsAdjoint) {
   EXPECT_NEAR(lhs, rhs, 1e-2 * (std::abs(lhs) + 1.0));
 }
 
+TEST_P(Im2ColPropertyTest, LeadingDimensionMatchesDenseLayout) {
+  // A panel whose rows are ld > OH*OW floats apart (several samples side
+  // by side) holds exactly the dense matrix in its first OH*OW columns and
+  // never touches the rest; col2im reads only those columns back.
+  const ConvGeom g = GetParam();
+  Rng rng(g.channels * 7 + g.width * 5 + g.stride);
+  Tensor img = Tensor::randn(Shape{g.channels, g.height, g.width}, rng);
+  const std::size_t cr = g.col_rows(), cc = g.col_cols(), ld = cc + 5;
+  std::vector<float> dense(cr * cc);
+  im2col(img.data(), g, dense.data());
+  const float sentinel = -12345.0f;
+  std::vector<float> strided(cr * ld, sentinel);
+  im2col(img.data(), g, strided.data(), ld);
+  for (std::size_t r = 0; r < cr; ++r)
+    for (std::size_t j = 0; j < ld; ++j)
+      ASSERT_EQ(strided[r * ld + j], j < cc ? dense[r * cc + j] : sentinel)
+          << "row " << r << " col " << j;
+
+  // col2im over the strided panel (gap columns hold garbage) equals the
+  // dense scatter bit for bit.
+  Tensor y = Tensor::randn(Shape{cr * cc}, rng);
+  std::vector<float> ystrided(cr * ld, 1e30f);
+  for (std::size_t r = 0; r < cr; ++r)
+    for (std::size_t j = 0; j < cc; ++j) ystrided[r * ld + j] = y[r * cc + j];
+  Tensor back = Tensor::zeros(img.shape());
+  Tensor back_ld = Tensor::zeros(img.shape());
+  col2im(y.data(), g, back.data());
+  col2im(ystrided.data(), g, back_ld.data(), ld);
+  for (std::size_t i = 0; i < img.numel(); ++i)
+    ASSERT_EQ(back[i], back_ld[i]) << "at " << i;
+
+  // The adjoint identity holds over the strided layout too.
+  double lhs = 0.0;
+  for (std::size_t r = 0; r < cr; ++r)
+    for (std::size_t j = 0; j < cc; ++j)
+      lhs += static_cast<double>(strided[r * ld + j]) * ystrided[r * ld + j];
+  double rhs = 0.0;
+  for (std::size_t i = 0; i < img.numel(); ++i)
+    rhs += static_cast<double>(img[i]) * back_ld[i];
+  EXPECT_NEAR(lhs, rhs, 1e-2 * (std::abs(lhs) + 1.0));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     GeometrySweep, Im2ColPropertyTest,
     ::testing::Values(ConvGeom{1, 4, 4, 3, 3, 1, 1},

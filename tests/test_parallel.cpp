@@ -21,7 +21,10 @@
 #include "nn/conv2d.hpp"
 #include "nn/fault_view.hpp"
 #include "nn/pooling.hpp"
+#include "telemetry/telemetry.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/gemm_int8.hpp"
+#include "tensor/im2col.hpp"
 #include "trainer/fault_aware_trainer.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -218,6 +221,206 @@ TEST(ParallelDeterminism, Conv2dForwardBackwardBitwise) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i)
     EXPECT_TRUE(bitwise_equal(serial[i], parallel[i])) << "tensor " << i;
+}
+
+// ---------------------------------------------------------------------------
+// Sample-blocked Conv2d vs a per-sample reference (DESIGN §13)
+// ---------------------------------------------------------------------------
+
+struct ConvCase {
+  std::size_t in_ch, out_ch, kernel, stride, pad, height, width;
+};
+
+struct ConvResult {
+  Tensor y, dx, dw, db;
+};
+
+/// The per-sample lowering Conv2d ran before sample blocking, built from
+/// public pieces: one im2col + GEMM per sample forward, one GEMM + col2im
+/// per sample for dX, and dW/db summed per reduction_grain block into
+/// zeroed partials merged in block order. With `int8_scale` > 0 the MVMs
+/// take the int8 path per sample, falling back to fp32 on a refusal.
+ConvResult reference_conv(const ConvCase& k, const Tensor& w,
+                          const Tensor& bias, const Tensor& x,
+                          const Tensor& dy, float int8_scale) {
+  const std::size_t n = x.shape()[0];
+  const ConvGeom g{k.in_ch, k.height, k.width, k.kernel, k.kernel, k.stride,
+                   k.pad};
+  const std::size_t cr = g.col_rows(), cc = g.col_cols();
+  const std::size_t in_plane = k.in_ch * k.height * k.width;
+  const std::size_t out_plane = k.out_ch * cc;
+  ConvResult r{Tensor(Shape{n, k.out_ch, g.out_h(), g.out_w()}),
+               Tensor(x.shape()), Tensor(w.shape()), Tensor(bias.shape())};
+  Int8APack fwd_i8, bwd_i8;
+  if (int8_scale > 0.0f) {
+    fwd_i8.pack(k.out_ch, cr, StridedOperand{w.data(), cr, 1}, int8_scale);
+    bwd_i8.pack(cr, k.out_ch, StridedOperand{w.data(), 1, cr}, int8_scale);
+  }
+  std::vector<float> cols(n * cr * cc), dcol(cr * cc);
+  for (std::size_t i = 0; i < n; ++i) {
+    float* col = cols.data() + i * cr * cc;
+    float* yi = r.y.data() + i * out_plane;
+    im2col(x.data() + i * in_plane, g, col);
+    if (int8_scale <= 0.0f ||
+        !fwd_i8.multiply(cc, StridedOperand{col, cc, 1}, yi, cc))
+      gemm(false, false, k.out_ch, cc, cr, 1.0f, w.data(), cr, col, cc, 0.0f,
+           yi, cc);
+    for (std::size_t o = 0; o < k.out_ch; ++o)
+      for (std::size_t p = 0; p < cc; ++p) yi[o * cc + p] += bias[o];
+
+    const float* dyi = dy.data() + i * out_plane;
+    if (int8_scale <= 0.0f ||
+        !bwd_i8.multiply(cc, StridedOperand{dyi, cc, 1}, dcol.data(), cc))
+      gemm(true, false, cr, cc, k.out_ch, 1.0f, w.data(), cr, dyi, cc, 0.0f,
+           dcol.data(), cc);
+    col2im(dcol.data(), g, r.dx.data() + i * in_plane);
+  }
+  const std::size_t grain = reduction_grain(n);
+  for (std::size_t s0 = 0; s0 < n; s0 += grain) {
+    Tensor dw = Tensor::zeros(w.shape());
+    std::vector<float> db(k.out_ch, 0.0f);
+    for (std::size_t i = s0; i < std::min(n, s0 + grain); ++i) {
+      const float* dyi = dy.data() + i * out_plane;
+      gemm(false, true, k.out_ch, cr, cc, 1.0f, dyi, cc,
+           cols.data() + i * cr * cc, cc, 1.0f, dw.data(), cr);
+      for (std::size_t o = 0; o < k.out_ch; ++o) {
+        float s = 0.0f;
+        for (std::size_t p = 0; p < cc; ++p) s += dyi[o * cc + p];
+        db[o] += s;
+      }
+    }
+    for (std::size_t e = 0; e < dw.numel(); ++e) r.dw[e] += dw[e];
+    for (std::size_t o = 0; o < k.out_ch; ++o) r.db[o] += db[o];
+  }
+  return r;
+}
+
+/// One training step of a fresh Conv2d at `threads` workers.
+ConvResult blocked_conv(const ConvCase& k, const Tensor& w, const Tensor& bias,
+                        const Tensor& x, const Tensor& dy,
+                        const FaultView* int8_view, std::size_t threads) {
+  ThreadGuard guard(threads);
+  Rng rng(1);
+  Conv2d conv(k.in_ch, k.out_ch, k.kernel, k.stride, k.pad, rng);
+  conv.weight_param().value = w;
+  conv.params()[1]->value = bias;
+  if (int8_view) conv.set_fault_views(*int8_view, *int8_view);
+  ConvResult r;
+  r.y = conv.forward(x, /*train=*/true);
+  r.dx = conv.backward(dy);
+  r.dw = conv.params()[0]->grad;
+  r.db = conv.params()[1]->grad;
+  return r;
+}
+
+void expect_bitwise(const ConvResult& got, const ConvResult& want,
+                    const std::string& what) {
+  EXPECT_TRUE(bitwise_equal(got.y, want.y)) << what << ": y";
+  EXPECT_TRUE(bitwise_equal(got.dx, want.dx)) << what << ": dx";
+  EXPECT_TRUE(bitwise_equal(got.dw, want.dw)) << what << ": dW";
+  EXPECT_TRUE(bitwise_equal(got.db, want.db)) << what << ": db";
+}
+
+const std::vector<ConvCase>& blocking_cases() {
+  static const std::vector<ConvCase> cases{
+      {3, 5, 3, 1, 1, 2, 2},  // 2x2 output, 3x3 pad 1
+      {3, 5, 3, 2, 1, 2, 2},  // 1x1 output
+      {4, 7, 3, 2, 1, 8, 8},  // stride 2 -> 4x4
+      {4, 7, 1, 2, 0, 8, 8},  // 1x1 stride-2 shortcut
+      {3, 5, 3, 1, 1, 6, 6},  // 3x3 pad 1, 36 positions
+  };
+  return cases;
+}
+
+TEST(ParallelConvBlocking, MatchesPerSampleReferenceBitwise) {
+  for (const ConvCase& k : blocking_cases()) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{5},
+                                std::size_t{32}, std::size_t{64}}) {
+      Rng rng(k.height * 100 + k.stride * 10 + k.kernel + n);
+      const Tensor w =
+          Tensor::randn(Shape{k.out_ch, k.in_ch * k.kernel * k.kernel}, rng);
+      const Tensor bias = Tensor::randn(Shape{k.out_ch}, rng);
+      const Tensor x =
+          Tensor::randn(Shape{n, k.in_ch, k.height, k.width}, rng);
+      const ConvGeom g{k.in_ch, k.height, k.width, k.kernel, k.kernel,
+                       k.stride, k.pad};
+      const Tensor dy =
+          Tensor::randn(Shape{n, k.out_ch, g.out_h(), g.out_w()}, rng);
+      const ConvResult want = reference_conv(k, w, bias, x, dy, 0.0f);
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const std::string what = "k=" + std::to_string(k.kernel) +
+                                 " s=" + std::to_string(k.stride) +
+                                 " " + std::to_string(k.height) +
+                                 "px n=" + std::to_string(n) +
+                                 " threads=" + std::to_string(threads);
+        expect_bitwise(blocked_conv(k, w, bias, x, dy, nullptr, threads),
+                       want, what);
+      }
+    }
+  }
+}
+
+TEST(ParallelConvBlocking, Int8NonFiniteSampleFallsBackAlone) {
+  // Five samples of a 2x2-output conv share one block at one thread. The
+  // middle sample carries a NaN in x and in dy: its forward and dX MVMs
+  // must take the fp32 route, and only its own — the other samples of the
+  // block stay on the int8 path.
+  const ConvCase k{3, 5, 3, 1, 1, 2, 2};
+  const std::size_t n = 5, bad = 2;
+  Rng rng(29);
+  FaultView view;
+  view.levels = 16;
+  view.w_max = 1.0f;
+  view.int8_path = true;
+  const float scale = view.int8_weight_scale();
+  Tensor w(Shape{k.out_ch, k.in_ch * k.kernel * k.kernel});
+  for (std::size_t e = 0; e < w.numel(); ++e)  // on the level grid
+    w[e] = static_cast<float>(static_cast<int>(e % 15) - 7) * scale;
+  const Tensor bias = Tensor::randn(Shape{k.out_ch}, rng);
+  Tensor x = Tensor::randn(Shape{n, k.in_ch, k.height, k.width}, rng);
+  Tensor dy = Tensor::randn(Shape{n, k.out_ch, 2, 2}, rng);
+  x[bad * k.in_ch * 4 + 1] = std::numeric_limits<float>::quiet_NaN();
+  dy[bad * k.out_ch * 4 + 3] = std::numeric_limits<float>::quiet_NaN();
+  const ConvResult want = reference_conv(k, w, bias, x, dy, scale);
+
+  telemetry::set_enabled(true);
+  telemetry::Counter& fallbacks =
+      telemetry::Registry::instance().counter("nn.conv.int8_fallbacks");
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const std::uint64_t before = fallbacks.value();
+    const ConvResult got = blocked_conv(k, w, bias, x, dy, &view, threads);
+    expect_bitwise(got, want, "threads=" + std::to_string(threads));
+    EXPECT_EQ(fallbacks.value() - before, 2u)
+        << "one forward and one dX fallback, for the NaN sample only";
+    for (std::size_t i = 0; i < n; ++i) {
+      bool any_nan = false;
+      for (std::size_t e = 0; e < k.out_ch * 4; ++e)
+        any_nan = any_nan || std::isnan(got.y[i * k.out_ch * 4 + e]);
+      EXPECT_EQ(any_nan, i == bad) << "sample " << i;
+    }
+  }
+  telemetry::set_enabled(false);
+}
+
+TEST(ParallelConvBlocking, SteadyStateTrainingDoesNotGrowScratch) {
+  ThreadGuard guard(1);  // one thread -> one deterministic set of arenas
+  Rng rng(31);
+  Conv2d stem(3, 8, 3, 1, 1, rng);
+  Conv2d deep(8, 16, 3, 2, 1, rng);  // 4x4 -> 2x2: multi-sample blocks
+  const Tensor x = Tensor::randn(Shape{32, 3, 4, 4}, rng);
+  const auto step = [&] {
+    const Tensor h = stem.forward(x, /*train=*/true);
+    const Tensor y = deep.forward(h, /*train=*/true);
+    stem.backward(deep.backward(y));
+    deep.forward(stem.forward(x, /*train=*/false), /*train=*/false);
+  };
+  step();  // warm the arenas
+  const std::uint64_t warm = conv_scratch_allocations();
+  const std::uint64_t warm_gemm = gemm_scratch_allocations();
+  for (int i = 0; i < 5; ++i) step();
+  EXPECT_EQ(conv_scratch_allocations(), warm)
+      << "same-shape training steps must reuse the conv scratch arenas";
+  EXPECT_EQ(gemm_scratch_allocations(), warm_gemm);
 }
 
 TEST(ParallelDeterminism, FaultInjectionBitwise) {

@@ -17,8 +17,10 @@
 #include "fleet/chip.hpp"
 #include "fleet/scheduler.hpp"
 #include "nn/fault_view.hpp"
+#include "nn/linear.hpp"
 #include "quant/programmer.hpp"
 #include "quant/quant.hpp"
+#include "telemetry/telemetry.hpp"
 #include "tensor/gemm_int8.hpp"
 #include "trainer/fault_aware_trainer.hpp"
 #include "util/parallel.hpp"
@@ -381,6 +383,30 @@ TEST(Int8Gemm, NonFiniteActivationsForceFp32Fallback) {
   EXPECT_FALSE(p.multiply(8, StridedOperand{b.data(), 8, 1}, c.data(), 8));
   b[13] = 0.25f;
   EXPECT_TRUE(p.multiply(8, StridedOperand{b.data(), 8, 1}, c.data(), 8));
+}
+
+TEST(Int8Gemm, LinearFallbacksAreCounted) {
+  // The int8 -> fp32 fallback is observable: finite batches leave the
+  // counter flat, a non-finite batch adds one per refused MVM.
+  ThreadGuard guard(1);
+  Rng rng(41);
+  Linear fc(6, 4, rng);
+  FaultView view;
+  view.levels = 16;
+  view.int8_path = true;
+  fc.set_fault_views(view, view);
+  telemetry::set_enabled(true);
+  auto& reg = telemetry::Registry::instance();
+  Tensor x = Tensor::randn(Shape{3, 6}, rng);
+  fc.forward(x, /*train=*/true);
+  telemetry::Counter& fallbacks = reg.counter("nn.linear.int8_fallbacks");
+  const std::uint64_t before = fallbacks.value();
+  fc.backward(Tensor::randn(Shape{3, 4}, rng));
+  EXPECT_EQ(fallbacks.value(), before);
+  x[7] = std::nanf("");
+  fc.forward(x, /*train=*/true);
+  EXPECT_EQ(fallbacks.value(), before + 1);
+  telemetry::set_enabled(false);
 }
 
 // ------------------------------------------------- fault-view semantics
