@@ -16,10 +16,16 @@ std::atomic<std::uint64_t> g_conv_scratch_allocs{0};
 
 // Per-thread block panels, shared by every layer and call (workers
 // persist, so they stop growing once the largest block has been seen).
-// t_in holds a block's GEMM B operand (eval im2col panel, gathered dy),
-// t_out its GEMM output (y panel, dcol panel). t_partials holds the
-// calling thread's dW/db partials for one backward wave.
-thread_local ConvScratch t_in, t_out, t_partials;
+// t_in holds a block's materialized GEMM B operand (int8 im2col panel,
+// gathered dy), t_out its GEMM output (y panel, dcol panel), t_pad a
+// block's zero-padded images (eval input, or one sample's dx in
+// backward). t_partials holds the calling thread's dW/db partials for one
+// backward wave.
+thread_local ConvScratch t_in, t_out, t_pad, t_partials;
+
+// Eval-mode offset tables, per thread for the same reason as the panels
+// below; rebuilt only when the geometry changes.
+thread_local ConvOffsets t_eval_offsets;
 
 // Eval-mode weight panels. Eval forwards may run concurrently on several
 // threads, so they cannot share the layer's members; a thread runs one
@@ -46,6 +52,24 @@ std::size_t sample_block(std::size_t n, std::size_t cc) {
   const std::size_t want = (kMinBlockCols + cc - 1) / cc;
   const std::size_t cap = std::max<std::size_t>(1, n / usable_threads());
   return std::max<std::size_t>(1, std::min(want, cap));
+}
+
+/// Build `o` for `g`, counting a storage growth as a conv scratch
+/// allocation.
+const ConvOffsets& offsets_for(ConvOffsets& o, const ConvGeom& g) {
+  if (o.build(g))
+    g_conv_scratch_allocs.fetch_add(1, std::memory_order_relaxed);
+  return o;
+}
+
+ConvOperand conv_operand(const float* img, const ConvGeom& g,
+                         const ConvOffsets& o, bool transposed) {
+  return ConvOperand{img,
+                     g.padded_size(),
+                     o.row_off.data(),
+                     o.col_off.data(),
+                     g.col_cols(),
+                     transposed};
 }
 
 }  // namespace
@@ -137,26 +161,41 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     telemetry::count("nn.conv.fused_flops", 2ull * out_ch_ * cc * cr * n);
   }
 
-  // Sample blocks: each block's samples sit side by side in one
-  // cr x (bn*cc) im2col panel, so one GEMM covers the whole block. Blocks
-  // write disjoint y slices, so the loop parallelizes freely; in
-  // compute_packed an output element's accumulation order depends only on
-  // the depth cr, so y is bitwise the per-sample result at any block size.
+  // Sample blocks: each block's samples sit side by side as one
+  // cr x (bn*cc) B operand, so one GEMM covers the whole block. The fp32
+  // path packs that operand straight from the zero-padded images through
+  // the offset tables (implicit GEMM); the strips hold exactly the floats
+  // an im2col panel would. Blocks write disjoint y slices, so the loop
+  // parallelizes freely; in compute_packed an output element's
+  // accumulation order depends only on the depth cr, so y is bitwise the
+  // per-sample result at any block size.
   const std::size_t bs = sample_block(n, cc);
-  float* train_cols = train ? last_cols_.ensure(n * cr * cc) : nullptr;
+  const std::size_t psz = g.padded_size();
+  const ConvOffsets& offs = offsets_for(train ? offsets_ : t_eval_offsets, g);
+  float* train_padded = train ? last_padded_.ensure(n * psz) : nullptr;
   parallel_for_blocks(0, n, bs,
                       [&](std::size_t s0, std::size_t s1, std::size_t) {
     const std::size_t ld = (s1 - s0) * cc;
-    float* cols = train ? train_cols + s0 * cr * cc : t_in.ensure(cr * ld);
     // A one-sample panel already has y's layout: write it in place.
     float* yp = s1 - s0 == 1 ? y.data() + s0 * out_ch_ * cc
                              : t_out.ensure(out_ch_ * ld);
-    for (std::size_t i = s0; i < s1; ++i)
-      im2col(x.data() + i * in_plane, g, cols + (i - s0) * cc, ld);
+    // Training keeps the padded input for dW, on either path.
+    float* padded = nullptr;
+    if (train || !int8) {
+      padded = train ? train_padded + s0 * psz
+                     : t_pad.ensure((s1 - s0) * psz);
+      for (std::size_t i = s0; i < s1; ++i)
+        pad_image(x.data() + i * in_plane, g, padded + (i - s0) * psz);
+    }
     if (int8) {
-      // The activation scale is per call, so the int8 GEMM stays per
-      // sample. Non-finite activations take the fp32 route so divergence
-      // is never clamped away by quantization.
+      // The activation scale is per call and taken over the im2col panel
+      // (a strided 1x1 conv reads only part of the image), so the int8
+      // GEMM stays per sample over a materialized panel. Non-finite
+      // activations take the fp32 route so divergence is never clamped
+      // away by quantization.
+      float* cols = t_in.ensure(cr * ld);
+      for (std::size_t i = s0; i < s1; ++i)
+        im2col(x.data() + i * in_plane, g, cols + (i - s0) * cc, ld);
       for (std::size_t i = s0; i < s1; ++i) {
         const float* col = cols + (i - s0) * cc;
         float* yi = yp + (i - s0) * cc;
@@ -167,7 +206,7 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
         }
       }
     } else {
-      wpack.multiply(ld, cols, ld, 0.0f, yp, ld);
+      wpack.multiply(ld, conv_operand(padded, g, offs, false), 0.0f, yp, ld);
     }
     // Scatter into y (sample-major) with the bias broadcast over spatial
     // positions.
@@ -218,8 +257,10 @@ Tensor Conv2d::backward(const Tensor& dy) {
   }
 
   // dX, one GEMM per forward block: dcol = We_bwd^T (cr x out) * the
-  // block's dy gathered into an out x (bn*cc) panel, then col2im per
-  // sample. Blocks write disjoint dx slices.
+  // block's dy gathered into an out x (bn*cc) panel, then each sample's
+  // columns scatter into a zero-padded dx image that is cropped into dx.
+  // Blocks write disjoint dx slices.
+  const std::size_t psz = g.padded_size();
   parallel_for_blocks(0, n, bs,
                       [&](std::size_t s0, std::size_t s1, std::size_t) {
     const std::size_t ld = (s1 - s0) * cc;
@@ -248,8 +289,12 @@ Tensor Conv2d::backward(const Tensor& dy) {
       }
       bwd_pack_.multiply(ld, dyp, ld, 0.0f, dcol, ld);
     }
-    for (std::size_t i = s0; i < s1; ++i)
-      col2im(dcol + (i - s0) * cc, g, dx.data() + i * in_plane, ld);
+    float* pdx = t_pad.ensure(psz);
+    for (std::size_t i = s0; i < s1; ++i) {
+      std::fill(pdx, pdx + psz, 0.0f);
+      col2im_padded(dcol + (i - s0) * cc, offsets_, pdx, ld);
+      crop_image(pdx, g, dx.data() + i * in_plane);
+    }
   });
 
   // dW/db accumulate across samples — a reduction. Each block of
@@ -275,14 +320,12 @@ Tensor Conv2d::backward(const Tensor& dy) {
         const std::size_t s0 = blk * grain, s1 = std::min(n, s0 + grain);
         for (std::size_t i = s0; i < s1; ++i) {
           const float* dyi = dy.data() + i * out_plane;
-          // Sample i's im2col matrix inside its forward block's panel.
-          const std::size_t f0 = i / bs * bs;
-          const std::size_t ld = std::min(bs, n - f0) * cc;
-          const float* col =
-              last_cols_.buf.data() + f0 * cr * cc + (i - f0) * cc;
-          // dW_blk += dy_i (out x cc) * col^T (cc x cr); the first sample
-          // stores instead (beta = 0 writes 0 + x, as += into zeros did).
-          gemm(false, true, out_ch_, cr, cc, 1.0f, dyi, cc, col, ld,
+          // dW_blk += dy_i (out x cc) * col_i^T (cc x cr), col_i read in
+          // place from sample i's padded input; the first sample stores
+          // instead (beta = 0 writes 0 + x, as += into zeros did).
+          gemm(false, out_ch_, cr, cc, 1.0f, dyi, cc,
+               conv_operand(last_padded_.buf.data() + i * psz, g, offsets_,
+                            true),
                i == s0 ? 0.0f : 1.0f, dw, cr);
           for (std::size_t o = 0; o < out_ch_; ++o) {
             const float* plane = dyi + o * cc;

@@ -24,8 +24,9 @@ struct ConvScratch {
 };
 
 /// Process-wide count of conv scratch growths (heap allocations): the
-/// thread-local block panels and dW/db partials plus each layer's training
-/// im2col panel. Repeated training steps of one shape leave it flat.
+/// thread-local block panels, padded images, offset tables and dW/db
+/// partials, plus each layer's padded training input and offset tables.
+/// Repeated training steps of one shape leave it flat.
 std::uint64_t conv_scratch_allocations();
 
 class Conv2d final : public Layer, public FaultableLayer {
@@ -81,14 +82,15 @@ class Conv2d final : public Layer, public FaultableLayer {
   // Same member-vs-per-thread rule as the fp32 panels.
   Int8APack fwd_i8_, bwd_i8_;
 
-  // Saved for backward: the im2col panels of the whole batch, stored block
-  // by block. Block b (samples [b*B, b*B + bn)) starts at b*B*col_rows*
-  // col_cols and is a col_rows x bn*col_cols matrix; sample i owns its
-  // col_cols columns at offset (i - b*B)*col_cols.
-  ConvScratch last_cols_;
+  // Saved for backward: the batch's input, zero-padded, one
+  // ConvGeom::padded_size() image per sample, and the offset tables that
+  // read its im2col matrix in place (the fp32 forward and dW never
+  // materialize the panel; DESIGN §13, "Implicit-GEMM convolution").
+  ConvScratch last_padded_;
+  ConvOffsets offsets_;
   ConvGeom last_geom_{};
   std::size_t last_batch_ = 0;
-  std::size_t last_block_ = 1;  ///< samples per block (B above)
+  std::size_t last_block_ = 1;  ///< forward samples per block, reused by dX
 };
 
 }  // namespace remapd

@@ -27,12 +27,11 @@ GemmTelemetry& gemm_telemetry() {
   return t;
 }
 
-}  // namespace
-
-void gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
-          std::size_t k, float alpha, const float* a, std::size_t lda,
-          const float* b, std::size_t ldb, float beta, float* c,
-          std::size_t ldc) {
+/// Shared body of both gemm() entry points; `b` is op(B), K x N.
+template <class BOperand>
+void gemm_impl(bool trans_a, std::size_t m, std::size_t n, std::size_t k,
+               float alpha, const float* a, std::size_t lda,
+               const BOperand& b, float beta, float* c, std::size_t ldc) {
   GemmTelemetry& telem = gemm_telemetry();
   telemetry::KernelTimer timer(telem.calls, telem.ns);
 
@@ -59,9 +58,24 @@ void gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   // NT/TN/TT paths never materialize a transposed copy.
   const StridedOperand opa =
       trans_a ? StridedOperand{a, 1, lda} : StridedOperand{a, lda, 1};
-  const StridedOperand opb =
-      trans_b ? StridedOperand{b, 1, ldb} : StridedOperand{b, ldb, 1};
-  gemm_packed(m, n, k, alpha, opa, opb, beta, c, ldc);
+  gemm_packed(m, n, k, alpha, opa, b, beta, c, ldc);
+}
+
+}  // namespace
+
+void gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
+          std::size_t k, float alpha, const float* a, std::size_t lda,
+          const float* b, std::size_t ldb, float beta, float* c,
+          std::size_t ldc) {
+  gemm_impl(trans_a, m, n, k, alpha, a, lda,
+            trans_b ? StridedOperand{b, 1, ldb} : StridedOperand{b, ldb, 1},
+            beta, c, ldc);
+}
+
+void gemm(bool trans_a, std::size_t m, std::size_t n, std::size_t k,
+          float alpha, const float* a, std::size_t lda, const ConvOperand& b,
+          float beta, float* c, std::size_t ldc) {
+  gemm_impl(trans_a, m, n, k, alpha, a, lda, b, beta, c, ldc);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

@@ -12,12 +12,21 @@
 
 namespace remapd {
 
+struct ConvOperand;
+
 /// C = alpha * op(A) * op(B) + beta * C, row-major.
 /// A is MxK (after optional transpose), B is KxN, C is MxN.
 void gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
           std::size_t k, float alpha, const float* a, std::size_t lda,
           const float* b, std::size_t ldb, float beta, float* c,
           std::size_t ldc);
+
+/// The same product with B (K x N) read in place from padded images
+/// through a ConvOperand (tensor/gemm_kernel.hpp): the conv dW product
+/// without an im2col panel. Records the same tensor.gemm.* telemetry.
+void gemm(bool trans_a, std::size_t m, std::size_t n, std::size_t k,
+          float alpha, const float* a, std::size_t lda, const ConvOperand& b,
+          float beta, float* c, std::size_t ldc);
 
 /// Convenience wrapper on rank-2 tensors: returns A(MxK) * B(KxN).
 Tensor matmul(const Tensor& a, const Tensor& b);

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "telemetry/telemetry.hpp"
 #include "util/parallel.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -452,8 +453,27 @@ void Int8APack::pack(std::size_t m, std::size_t k, StridedOperand a,
   });
 }
 
+namespace {
+
+// Cached telemetry handles, registered once (as gemm() caches its own).
+struct Int8GemmTelemetry {
+  telemetry::Counter& calls;
+  telemetry::Histogram& ns;
+};
+
+Int8GemmTelemetry& int8_gemm_telemetry() {
+  auto& reg = telemetry::Registry::instance();
+  static Int8GemmTelemetry t{reg.counter("tensor.gemm_int8.calls"),
+                             reg.histogram("tensor.gemm_int8.ns")};
+  return t;
+}
+
+}  // namespace
+
 bool Int8APack::multiply(std::size_t n, StridedOperand b, float* c,
                          std::size_t ldc) const {
+  Int8GemmTelemetry& telem = int8_gemm_telemetry();
+  telemetry::KernelTimer timer(telem.calls, telem.ns);
   if (!packed())
     throw std::logic_error("Int8APack::multiply before pack()");
   if (n == 0) return true;

@@ -159,6 +159,52 @@ void pack_b_strip(std::size_t s, std::size_t pc, std::size_t kc,
   }
 }
 
+/// The ConvOperand variant: the same strips, gathered from padded images.
+/// Untransposed, each lane is one panel column; a full strip whose lanes
+/// form one contiguous run of the image (every strip of a stride-1 layer
+/// with 16-wide output rows) copies each depth row, any other strip
+/// gathers at its per-lane offsets. Transposed, lanes are panel rows and
+/// each depth row (output position) gathers at row_off.
+void pack_b_strip(std::size_t s, std::size_t pc, std::size_t kc,
+                  std::size_t jc, std::size_t ncb, const ConvOperand& b,
+                  float* dst) {
+  float* strip = dst + s * kNR * kc;
+  const std::size_t j0 = jc + s * kNR;
+  const std::size_t lanes = std::min(kNR, ncb - s * kNR);
+  if (b.transposed) {
+    const std::int32_t* lane_off = b.row_off + j0;
+    for (std::size_t p = 0; p < kc; ++p) {
+      const float* src = b.img + b.col_off[pc + p];
+      float* out = strip + p * kNR;
+      for (std::size_t j = 0; j < lanes; ++j) out[j] = src[lane_off[j]];
+      for (std::size_t j = lanes; j < kNR; ++j) out[j] = 0.0f;
+    }
+    return;
+  }
+  std::size_t lane_off[kNR];
+  std::size_t sample = j0 / b.cols, q = j0 % b.cols;
+  bool run = lanes == kNR;
+  for (std::size_t j = 0; j < lanes; ++j) {
+    lane_off[j] = sample * b.sample_stride +
+                  static_cast<std::size_t>(b.col_off[q]);
+    run = run && lane_off[j] == lane_off[0] + j;
+    if (++q == b.cols) {
+      q = 0;
+      ++sample;
+    }
+  }
+  for (std::size_t p = 0; p < kc; ++p) {
+    const float* src = b.img + b.row_off[pc + p];
+    float* out = strip + p * kNR;
+    if (run) {
+      std::memcpy(out, src + lane_off[0], kNR * sizeof(float));
+      continue;
+    }
+    for (std::size_t j = 0; j < lanes; ++j) out[j] = src[lane_off[j]];
+    for (std::size_t j = lanes; j < kNR; ++j) out[j] = 0.0f;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
@@ -191,9 +237,11 @@ void merge_tile(const float* tile, float* c, std::size_t ldc,
 
 /// Shared compute stage over pre-packed A panels: the jc/pc panel loops,
 /// per-chunk B packing, and the row-partitioned tile sweep (which also
-/// applies beta to its own rows at the first depth chunk).
+/// applies beta to its own rows at the first depth chunk). The B operand
+/// type only selects the packer; the arithmetic is the same.
+template <class BOperand>
 void compute_packed(std::size_t m, std::size_t n, std::size_t k,
-                    const float* apanels, StridedOperand b, float beta,
+                    const float* apanels, const BOperand& b, float beta,
                     float* c, std::size_t ldc) {
   const MicroFn micro = micro_choice().fn;
   const std::size_t nstrips_a = a_strips(m);
@@ -228,16 +276,29 @@ void compute_packed(std::size_t m, std::size_t n, std::size_t k,
   }
 }
 
-}  // namespace
-
-void gemm_packed(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                 StridedOperand a, StridedOperand b, float beta, float* c,
-                 std::size_t ldc) {
+template <class BOperand>
+void gemm_packed_impl(std::size_t m, std::size_t n, std::size_t k,
+                      float alpha, StridedOperand a, const BOperand& b,
+                      float beta, float* c, std::size_t ldc) {
   float* apanels = t_apack_arena.ensure(a_strips(m) * kMR * k);
   parallel_for(0, m, kMC, [&](std::size_t r0, std::size_t r1) {
     pack_a_rows(r0, r1, m, k, alpha, a, apanels);
   });
   compute_packed(m, n, k, apanels, b, beta, c, ldc);
+}
+
+}  // namespace
+
+void gemm_packed(std::size_t m, std::size_t n, std::size_t k, float alpha,
+                 StridedOperand a, StridedOperand b, float beta, float* c,
+                 std::size_t ldc) {
+  gemm_packed_impl(m, n, k, alpha, a, b, beta, c, ldc);
+}
+
+void gemm_packed(std::size_t m, std::size_t n, std::size_t k, float alpha,
+                 StridedOperand a, const ConvOperand& b, float beta, float* c,
+                 std::size_t ldc) {
+  gemm_packed_impl(m, n, k, alpha, a, b, beta, c, ldc);
 }
 
 void GemmAPack::pack(std::size_t m, std::size_t k, float alpha,
@@ -258,6 +319,11 @@ void GemmAPack::multiply(std::size_t n, const float* b, std::size_t ldb,
                          float beta, float* c, std::size_t ldc) const {
   compute_packed(m_, n, k_, panels_.data(), StridedOperand{b, ldb, 1}, beta,
                  c, ldc);
+}
+
+void GemmAPack::multiply(std::size_t n, const ConvOperand& b, float beta,
+                         float* c, std::size_t ldc) const {
+  compute_packed(m_, n, k_, panels_.data(), b, beta, c, ldc);
 }
 
 std::uint64_t gemm_scratch_allocations() {

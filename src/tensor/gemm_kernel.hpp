@@ -24,8 +24,11 @@
 //
 // Transposed operands are handled by the packing layer (an operand is a
 // pointer plus row/col strides), so NT/TN/TT never materialize a
-// transposed copy. Scratch panels live in grow-only thread-local arenas;
-// steady-state calls perform no heap allocation (see scratch_allocations()).
+// transposed copy. A convolution's im2col matrix is a B operand of its
+// own (ConvOperand): the packer gathers it straight from zero-padded
+// images through offset tables, so the conv path writes no im2col panel.
+// Scratch panels live in grow-only thread-local arenas; steady-state
+// calls perform no heap allocation (see scratch_allocations()).
 //
 // Two micro-kernel implementations sit behind one function pointer chosen
 // at process start: an AVX2+FMA intrinsics kernel (x86-64, runtime
@@ -60,6 +63,24 @@ struct StridedOperand {
   std::size_t col_stride;
 };
 
+/// The im2col matrix of a block of samples, read in place (implicit GEMM).
+/// Untransposed, op(B) is the rows x (samples * cols) panel whose column
+/// j = s * cols + q holds sample s at output position q; element (r, j)
+/// is img[s * sample_stride + row_off[r] + col_off[q]]. Transposed (the
+/// conv dW product of one sample), op(B) is cols x rows with element
+/// (q, r) = img[row_off[r] + col_off[q]]. The images are zero-padded
+/// (see ConvOffsets in tensor/im2col.hpp), so every offset is in bounds
+/// and the pads read as the +0.0f im2col writes: the packed strips, and
+/// so the results, are bitwise those of the materialized panel.
+struct ConvOperand {
+  const float* img;             ///< first sample's padded image
+  std::size_t sample_stride;    ///< floats between consecutive samples
+  const std::int32_t* row_off;  ///< per panel row (c, kh, kw)
+  const std::int32_t* col_off;  ///< per output position (oy, ox)
+  std::size_t cols;             ///< output positions per sample (OH*OW)
+  bool transposed = false;
+};
+
 /// C = alpha * op(A) * op(B) + beta * C over strided operands, C row-major
 /// m x n with leading dimension ldc. beta == 0 never reads C (NaN/garbage
 /// in C is overwritten, BLAS semantics). The beta scale/clear is folded
@@ -69,6 +90,10 @@ struct StridedOperand {
 /// degenerate cases).
 void gemm_packed(std::size_t m, std::size_t n, std::size_t k, float alpha,
                  StridedOperand a, StridedOperand b, float beta, float* c,
+                 std::size_t ldc);
+/// The same product with op(B) read through a ConvOperand.
+void gemm_packed(std::size_t m, std::size_t n, std::size_t k, float alpha,
+                 StridedOperand a, const ConvOperand& b, float beta, float* c,
                  std::size_t ldc);
 
 /// Reusable packed-A panels for the fused convolution path: pack the
@@ -89,6 +114,9 @@ class GemmAPack {
   /// dimension ldb. Requires pack() first.
   void multiply(std::size_t n, const float* b, std::size_t ldb, float beta,
                 float* c, std::size_t ldc) const;
+  /// The same product with op(B) (k x n) read through a ConvOperand.
+  void multiply(std::size_t n, const ConvOperand& b, float beta, float* c,
+                std::size_t ldc) const;
 
   [[nodiscard]] std::size_t rows() const { return m_; }
   [[nodiscard]] std::size_t depth() const { return k_; }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
 
@@ -106,6 +108,82 @@ void col2im(const float* col, const ConvGeom& g, float* img,
           }
         }
       }
+    }
+  }
+}
+
+bool ConvOffsets::build(const ConvGeom& g) {
+  if (g == geom) return false;
+  if (g.padded_size() >
+      static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()))
+    throw std::length_error("ConvOffsets: padded image exceeds int32 offsets");
+  const std::size_t cr = g.col_rows(), cc = g.col_cols();
+  const bool grew = cr > row_off.capacity() || cc > col_off.capacity();
+  row_off.resize(cr);
+  col_off.resize(cc);
+  const std::size_t hp = g.padded_h(), wp = g.padded_w();
+  std::size_t r = 0;
+  for (std::size_t c = 0; c < g.channels; ++c)
+    for (std::size_t kh = 0; kh < g.kernel_h; ++kh)
+      for (std::size_t kw = 0; kw < g.kernel_w; ++kw, ++r)
+        row_off[r] = static_cast<std::int32_t>((c * hp + kh) * wp + kw);
+  const std::size_t ow = g.out_w();
+  for (std::size_t q = 0; q < cc; ++q)
+    col_off[q] = static_cast<std::int32_t>(
+        (q / ow * wp + q % ow) * g.stride);
+  geom = g;
+  return grew;
+}
+
+void pad_image(const float* img, const ConvGeom& g, float* padded) {
+  const std::size_t h = g.height, w = g.width, p = g.pad;
+  if (p == 0) {
+    std::memcpy(padded, img, g.channels * h * w * sizeof(float));
+    return;
+  }
+  const std::size_t wp = g.padded_w();
+  for (std::size_t c = 0; c < g.channels; ++c) {
+    float* dst = padded + c * g.padded_h() * wp;
+    std::fill(dst, dst + p * wp + p, 0.0f);  // top rows + first left pad
+    dst += p * wp + p;
+    for (std::size_t y = 0; y < h; ++y, dst += wp) {
+      std::memcpy(dst, img + (c * h + y) * w, w * sizeof(float));
+      // Right pad of this row and left pad of the next.
+      std::fill(dst + w, dst + wp, 0.0f);
+    }
+    std::fill(dst - p, dst - p + p * wp, 0.0f);  // bottom rows
+  }
+}
+
+void crop_image(const float* padded, const ConvGeom& g, float* img) {
+  const std::size_t h = g.height, w = g.width, p = g.pad;
+  const std::size_t wp = g.padded_w();
+  for (std::size_t c = 0; c < g.channels; ++c) {
+    const float* src = padded + (c * g.padded_h() + p) * wp + p;
+    for (std::size_t y = 0; y < h; ++y)
+      std::memcpy(img + (c * h + y) * w, src + y * wp, w * sizeof(float));
+  }
+}
+
+void col2im_padded(const float* col, const ConvOffsets& o, float* padded,
+                   std::size_t ld) {
+  const ConvGeom& g = o.geom;
+  const std::size_t oh = g.out_h(), ow = g.out_w(), cc = oh * ow;
+  if (ld == 0) ld = cc;
+  for (std::size_t r = 0; r < o.row_off.size(); ++r) {
+    float* base = padded + o.row_off[r];
+    const float* src = col + r * ld;
+    if (g.stride != 1 || ow < 8) {
+      // Strided or short output rows do not vectorize; one flat pass over
+      // the positions saves the per-row loop overhead.
+      for (std::size_t q = 0; q < cc; ++q) base[o.col_off[q]] += src[q];
+      continue;
+    }
+    for (std::size_t y = 0; y < oh; ++y) {
+      float* dst = base + o.col_off[y * ow];
+      const float* srow = src + y * ow;
+#pragma omp simd
+      for (std::size_t x = 0; x < ow; ++x) dst[x] += srow[x];
     }
   }
 }

@@ -5,7 +5,8 @@
 // operands), bitwise 1-vs-4-thread determinism, fused-vs-unfused bitwise
 // agreement, allocation-free steady state for the transposed paths (which
 // previously materialized fresh transpose buffers per call), and the flops
-// telemetry regression (degenerate calls must record zero flops).
+// telemetry regression (degenerate calls must record zero flops), and the
+// implicit-GEMM ConvOperand packer against the im2col panel it replaces.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,6 +18,7 @@
 #include "telemetry/telemetry.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_kernel.hpp"
+#include "tensor/im2col.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -252,6 +254,166 @@ TEST(GemmKernel, FusedConvForwardPropagatesNonFiniteWeights) {
       EXPECT_EQ(y[9 + p], 0.0f) << "train=" << train << " p=" << p;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// ConvOperand: conv GEMM operands packed straight from padded images
+// ---------------------------------------------------------------------------
+
+struct PackCase {
+  const char* what;
+  ConvGeom g;
+  std::size_t samples, out_ch;
+};
+
+const std::vector<PackCase>& pack_cases() {
+  static const std::vector<PackCase> cases{
+      // 1280 block columns: a second kNC panel.
+      {"3x3 s1 p1 16x16, every strip one run", {3, 16, 16, 3, 3, 1, 1}, 5, 7},
+      // OH*OW = 384: the transposed depth passes kKC.
+      {"3x3 s1 p1 24x16", {2, 24, 16, 3, 3, 1, 1}, 2, 5},
+      {"3x3 s1 p1 5x9, runs break mid-strip", {3, 5, 9, 3, 3, 1, 1}, 3, 5},
+      {"3x3 s2 p1", {4, 8, 8, 3, 3, 2, 1}, 3, 7},
+      {"1x1 s2 p0", {4, 8, 8, 1, 1, 2, 0}, 3, 7},
+      {"1x1 s1 p0", {4, 6, 6, 1, 1, 1, 0}, 3, 7},
+      // C*k*k = 300: the block depth passes kKC.
+      {"5x5 s1 p2", {12, 7, 7, 5, 5, 1, 2}, 3, 5},
+      // 28 columns: a strip of 4 samples, then a partial strip of 3.
+      {"2x2 output, strips span 4 samples", {3, 4, 4, 3, 3, 2, 1}, 7, 5},
+  };
+  return cases;
+}
+
+/// The forward block product y = W * cols and every sample's dW_i =
+/// dy_i * cols_i^T, once over a materialized im2col panel and once over
+/// ConvOperands of the padded images.
+struct ConvProducts {
+  std::vector<float> y, dw;
+};
+
+ConvProducts conv_products(const PackCase& k, const Tensor& x,
+                           const Tensor& w, const Tensor& dy, bool implicit) {
+  const ConvGeom& g = k.g;
+  const std::size_t cr = g.col_rows(), cc = g.col_cols();
+  const std::size_t n = k.samples * cc, psz = g.padded_size();
+  const std::size_t plane = g.channels * g.height * g.width;
+  std::vector<float> panel(cr * n), padded(k.samples * psz);
+  for (std::size_t i = 0; i < k.samples; ++i) {
+    im2col(x.data() + i * plane, g, panel.data() + i * cc, n);
+    pad_image(x.data() + i * plane, g, padded.data() + i * psz);
+  }
+  ConvOffsets offs;
+  offs.build(g);
+  const auto op = [&](std::size_t i, bool transposed) {
+    return ConvOperand{padded.data() + i * psz, psz, offs.row_off.data(),
+                       offs.col_off.data(), cc, transposed};
+  };
+
+  ConvProducts r{std::vector<float>(k.out_ch * n, kNaN),
+                 std::vector<float>(k.samples * k.out_ch * cr, kNaN)};
+  GemmAPack pack;
+  pack.pack(k.out_ch, cr, 1.0f, StridedOperand{w.data(), cr, 1});
+  if (implicit)
+    pack.multiply(n, op(0, false), 0.0f, r.y.data(), n);
+  else
+    pack.multiply(n, panel.data(), n, 0.0f, r.y.data(), n);
+  for (std::size_t i = 0; i < k.samples; ++i) {
+    const float* dyi = dy.data() + i * k.out_ch * cc;
+    float* dwi = r.dw.data() + i * k.out_ch * cr;
+    if (implicit)
+      gemm(false, k.out_ch, cr, cc, 1.0f, dyi, cc, op(i, true), 0.0f, dwi,
+           cr);
+    else
+      gemm(false, true, k.out_ch, cr, cc, 1.0f, dyi, cc,
+           panel.data() + i * cc, n, 0.0f, dwi, cr);
+  }
+  return r;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(GemmConvOperand, MatchesIm2colPanelBitwise) {
+  for (const PackCase& k : pack_cases()) {
+    const ConvGeom& g = k.g;
+    Rng rng(g.height * 31 + g.width * 7 + g.kernel_h + g.stride);
+    const Tensor x =
+        Tensor::randn(Shape{k.samples, g.channels, g.height, g.width}, rng);
+    const Tensor w = random_matrix(k.out_ch, g.col_rows(), rng);
+    const Tensor dy = random_matrix(k.samples * k.out_ch, g.col_cols(), rng);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      ThreadGuard guard(threads);
+      const ConvProducts want = conv_products(k, x, w, dy, false);
+      const ConvProducts got = conv_products(k, x, w, dy, true);
+      EXPECT_TRUE(same_bits(got.y, want.y))
+          << k.what << ", threads=" << threads << ": block operand (y)";
+      EXPECT_TRUE(same_bits(got.dw, want.dw))
+          << k.what << ", threads=" << threads << ": transposed operand (dW)";
+    }
+  }
+}
+
+TEST(GemmConvOperand, NonFiniteInputReachesYAndDw) {
+  const PackCase& k = pack_cases()[2];  // 5x9: gathered strips
+  const ConvGeom& g = k.g;
+  Rng rng(5);
+  Tensor x =
+      Tensor::randn(Shape{k.samples, g.channels, g.height, g.width}, rng);
+  const std::size_t plane = g.channels * g.height * g.width;
+  x[1 * plane + 2 * g.width + 4] = kNaN;  // sample 1, channel 0, interior
+  x[2 * plane + plane - 1] = kInf;        // sample 2, last channel, corner
+  const Tensor w = random_matrix(k.out_ch, g.col_rows(), rng);
+  const Tensor dy = random_matrix(k.samples * k.out_ch, g.col_cols(), rng);
+  const ConvProducts want = conv_products(k, x, w, dy, false);
+  const ConvProducts got = conv_products(k, x, w, dy, true);
+  EXPECT_TRUE(same_bits(got.y, want.y));
+  EXPECT_TRUE(same_bits(got.dw, want.dw));
+
+  const std::size_t cc = g.col_cols(), n = k.samples * cc;
+  const std::size_t dw_plane = k.out_ch * g.col_rows();
+  for (const std::size_t s : {std::size_t{1}, std::size_t{2}}) {
+    bool y_bad = false, dw_bad = false;
+    for (std::size_t o = 0; o < k.out_ch; ++o)
+      for (std::size_t q = 0; q < cc; ++q)
+        y_bad = y_bad || !std::isfinite(got.y[o * n + s * cc + q]);
+    for (std::size_t e = 0; e < dw_plane; ++e)
+      dw_bad = dw_bad || !std::isfinite(got.dw[s * dw_plane + e]);
+    EXPECT_TRUE(y_bad) << "sample " << s << ": y";
+    EXPECT_TRUE(dw_bad) << "sample " << s << ": dW";
+  }
+  for (std::size_t e = 0; e < dw_plane; ++e)
+    ASSERT_TRUE(std::isfinite(got.dw[e])) << "sample 0 stays finite";
+}
+
+TEST(GemmConvOperand, GemmOverloadRecordsTheSameTelemetry) {
+  // The conv dW product goes through gemm(): one call and 2*m*n*k flops,
+  // exactly as the strided product over the im2col panel records.
+  const PackCase& k = pack_cases()[3];
+  const ConvGeom& g = k.g;
+  Rng rng(8);
+  const Tensor x =
+      Tensor::randn(Shape{k.samples, g.channels, g.height, g.width}, rng);
+  const Tensor w = random_matrix(k.out_ch, g.col_rows(), rng);
+  const Tensor dy = random_matrix(k.samples * k.out_ch, g.col_cols(), rng);
+  auto& reg = telemetry::Registry::instance();
+  telemetry::Counter& calls = reg.counter("tensor.gemm.calls");
+  telemetry::Counter& flops = reg.counter("tensor.gemm.flops");
+  telemetry::set_enabled(true);
+  std::uint64_t c0 = calls.value(), f0 = flops.value();
+  conv_products(k, x, w, dy, false);
+  const std::uint64_t panel_calls = calls.value() - c0;
+  const std::uint64_t panel_flops = flops.value() - f0;
+  c0 = calls.value();
+  f0 = flops.value();
+  conv_products(k, x, w, dy, true);
+  telemetry::set_enabled(false);
+  EXPECT_EQ(panel_calls, k.samples);
+  EXPECT_EQ(panel_flops,
+            2ull * k.samples * k.out_ch * g.col_rows() * g.col_cols());
+  EXPECT_EQ(calls.value() - c0, panel_calls);
+  EXPECT_EQ(flops.value() - f0, panel_flops);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "tensor/im2col.hpp"
 #include "tensor/tensor.hpp"
 
@@ -124,6 +127,41 @@ TEST_P(Im2ColPropertyTest, LeadingDimensionMatchesDenseLayout) {
   for (std::size_t i = 0; i < img.numel(); ++i)
     rhs += static_cast<double>(img[i]) * back_ld[i];
   EXPECT_NEAR(lhs, rhs, 1e-2 * (std::abs(lhs) + 1.0));
+}
+
+TEST_P(Im2ColPropertyTest, PaddedOffsetsMatchIm2colAndCol2im) {
+  // The implicit-GEMM lowering: the offset tables read the im2col matrix
+  // out of the zero-padded image element for element, crop_image inverts
+  // pad_image, and col2im_padded + crop_image is col2im bit for bit.
+  const ConvGeom g = GetParam();
+  Rng rng(g.channels * 3 + g.height * 11 + g.pad);
+  Tensor img = Tensor::randn(Shape{g.channels, g.height, g.width}, rng);
+  const std::size_t cr = g.col_rows(), cc = g.col_cols();
+  std::vector<float> col(cr * cc), padded(g.padded_size(), 7.0f);
+  im2col(img.data(), g, col.data());
+  pad_image(img.data(), g, padded.data());
+  ConvOffsets offs;
+  EXPECT_TRUE(offs.build(g));
+  EXPECT_FALSE(offs.build(g)) << "same geometry: no rebuild, no growth";
+  for (std::size_t r = 0; r < cr; ++r)
+    for (std::size_t q = 0; q < cc; ++q)
+      ASSERT_EQ(padded[offs.row_off[r] + offs.col_off[q]], col[r * cc + q])
+          << "row " << r << " col " << q;
+  Tensor cropped(img.shape());
+  crop_image(padded.data(), g, cropped.data());
+  ASSERT_EQ(std::memcmp(cropped.data(), img.data(),
+                        img.numel() * sizeof(float)),
+            0);
+
+  const Tensor y = Tensor::randn(Shape{cr * cc}, rng);
+  Tensor want = Tensor::zeros(img.shape());
+  col2im(y.data(), g, want.data());
+  std::vector<float> pdx(g.padded_size(), 0.0f);
+  col2im_padded(y.data(), offs, pdx.data());
+  Tensor got(img.shape());
+  crop_image(pdx.data(), g, got.data());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), img.numel() * sizeof(float)),
+            0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -328,6 +328,9 @@ const std::vector<ConvCase>& blocking_cases() {
       {4, 7, 3, 2, 1, 8, 8},  // stride 2 -> 4x4
       {4, 7, 1, 2, 0, 8, 8},  // 1x1 stride-2 shortcut
       {3, 5, 3, 1, 1, 6, 6},  // 3x3 pad 1, 36 positions
+      {3, 5, 3, 1, 1, 16, 16},  // 16-wide rows: every strip one run
+      {3, 5, 3, 1, 1, 5, 9},    // non-square: runs break mid-strip
+      {3, 5, 5, 1, 2, 7, 7},    // 5x5 pad 2
   };
   return cases;
 }
@@ -403,20 +406,34 @@ TEST(ParallelConvBlocking, Int8NonFiniteSampleFallsBackAlone) {
 }
 
 TEST(ParallelConvBlocking, SteadyStateTrainingDoesNotGrowScratch) {
+  // Covers every conv buffer: the padded training inputs and offset
+  // tables of each layer, and the per-thread block panels, padded images
+  // (eval input, backward dx) and eval offset tables, which the three
+  // geometries below rebuild on every call without growing.
   ThreadGuard guard(1);  // one thread -> one deterministic set of arenas
   Rng rng(31);
   Conv2d stem(3, 8, 3, 1, 1, rng);
   Conv2d deep(8, 16, 3, 2, 1, rng);  // 4x4 -> 2x2: multi-sample blocks
+  Conv2d shortcut(8, 16, 1, 2, 0, rng);  // 1x1, no pad
   const Tensor x = Tensor::randn(Shape{32, 3, 4, 4}, rng);
   const auto step = [&] {
     const Tensor h = stem.forward(x, /*train=*/true);
     const Tensor y = deep.forward(h, /*train=*/true);
-    stem.backward(deep.backward(y));
-    deep.forward(stem.forward(x, /*train=*/false), /*train=*/false);
+    const Tensor z = shortcut.forward(h, /*train=*/true);
+    Tensor dh = deep.backward(y);
+    const Tensor dz = shortcut.backward(z);
+    for (std::size_t e = 0; e < dh.numel(); ++e) dh[e] += dz[e];
+    stem.backward(dh);
+    const Tensor he = stem.forward(x, /*train=*/false);
+    deep.forward(he, /*train=*/false);
+    shortcut.forward(he, /*train=*/false);
   };
+  const std::uint64_t before = conv_scratch_allocations();
   step();  // warm the arenas
   const std::uint64_t warm = conv_scratch_allocations();
   const std::uint64_t warm_gemm = gemm_scratch_allocations();
+  EXPECT_GE(warm - before, 6u)
+      << "each layer's padded input and offset tables count as growths";
   for (int i = 0; i < 5; ++i) step();
   EXPECT_EQ(conv_scratch_allocations(), warm)
       << "same-shape training steps must reuse the conv scratch arenas";
@@ -467,40 +484,46 @@ TEST(ParallelDeterminism, BistSurveyBitwise) {
 // (forward/backward gemms, BIST surveys, fault injection, remapping,
 // evaluation) is bitwise reproducible across thread counts.
 TEST(ParallelDeterminismSlow, TrainerBitwise) {
-  const auto run = [](std::size_t threads) {
-    ThreadGuard guard(threads);
-    TrainerConfig cfg;
-    cfg.model = "vgg11";
-    cfg.epochs = 2;
-    cfg.batch_size = 16;
-    cfg.data.train = 48;
-    cfg.data.test = 32;
-    cfg.data.image_size = 12;
-    cfg.policy = "remap-d";
-    cfg.faults = FaultScenario::paper_default();
-    FaultAwareTrainer trainer(cfg);
-    const TrainResult r = trainer.run();
-    std::vector<std::set<std::pair<std::size_t, std::size_t>>> cells;
-    for (XbarId id = 0; id < trainer.rcs().total_crossbars(); ++id) {
-      const auto faulty = trainer.rcs().crossbar(id).faulty_cells();
-      cells.emplace_back(faulty.begin(), faulty.end());
+  // resnet12 adds the residual topology: stride-2 3x3 convs, 1x1
+  // shortcuts and 2x2 outputs whose GEMM strips span several samples.
+  for (const char* model : {"vgg11", "resnet12"}) {
+    SCOPED_TRACE(model);
+    const auto run = [model](std::size_t threads) {
+      ThreadGuard guard(threads);
+      TrainerConfig cfg;
+      cfg.model = model;
+      cfg.epochs = 2;
+      cfg.batch_size = 16;
+      cfg.data.train = 48;
+      cfg.data.test = 32;
+      cfg.data.image_size = 12;
+      cfg.policy = "remap-d";
+      cfg.faults = FaultScenario::paper_default();
+      FaultAwareTrainer trainer(cfg);
+      const TrainResult r = trainer.run();
+      std::vector<std::set<std::pair<std::size_t, std::size_t>>> cells;
+      for (XbarId id = 0; id < trainer.rcs().total_crossbars(); ++id) {
+        const auto faulty = trainer.rcs().crossbar(id).faulty_cells();
+        cells.emplace_back(faulty.begin(), faulty.end());
+      }
+      return std::make_pair(r, cells);
+    };
+    const auto [r1, cells1] = run(1);
+    const auto [r4, cells4] = run(4);
+    ASSERT_EQ(r1.history.size(), r4.history.size());
+    for (std::size_t e = 0; e < r1.history.size(); ++e) {
+      EXPECT_EQ(r1.history[e].train_loss, r4.history[e].train_loss) << e;
+      EXPECT_EQ(r1.history[e].train_accuracy, r4.history[e].train_accuracy)
+          << e;
+      EXPECT_EQ(r1.history[e].test_accuracy, r4.history[e].test_accuracy) << e;
+      EXPECT_EQ(r1.history[e].remaps, r4.history[e].remaps) << e;
+      EXPECT_EQ(r1.history[e].total_faults, r4.history[e].total_faults) << e;
+      EXPECT_EQ(r1.history[e].new_faults, r4.history[e].new_faults) << e;
     }
-    return std::make_pair(r, cells);
-  };
-  const auto [r1, cells1] = run(1);
-  const auto [r4, cells4] = run(4);
-  ASSERT_EQ(r1.history.size(), r4.history.size());
-  for (std::size_t e = 0; e < r1.history.size(); ++e) {
-    EXPECT_EQ(r1.history[e].train_loss, r4.history[e].train_loss) << e;
-    EXPECT_EQ(r1.history[e].train_accuracy, r4.history[e].train_accuracy) << e;
-    EXPECT_EQ(r1.history[e].test_accuracy, r4.history[e].test_accuracy) << e;
-    EXPECT_EQ(r1.history[e].remaps, r4.history[e].remaps) << e;
-    EXPECT_EQ(r1.history[e].total_faults, r4.history[e].total_faults) << e;
-    EXPECT_EQ(r1.history[e].new_faults, r4.history[e].new_faults) << e;
+    EXPECT_EQ(r1.final_test_accuracy, r4.final_test_accuracy);
+    EXPECT_EQ(r1.total_remaps, r4.total_remaps);
+    EXPECT_EQ(cells1, cells4);
   }
-  EXPECT_EQ(r1.final_test_accuracy, r4.final_test_accuracy);
-  EXPECT_EQ(r1.total_remaps, r4.total_remaps);
-  EXPECT_EQ(cells1, cells4);
 }
 
 // ---------------------------------------------------------------------------

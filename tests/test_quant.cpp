@@ -409,6 +409,33 @@ TEST(Int8Gemm, LinearFallbacksAreCounted) {
   telemetry::set_enabled(false);
 }
 
+TEST(Int8Gemm, MultiplyIsTimed) {
+  // Every int8 multiply, accepted or refused, counts one call and one
+  // latency sample while telemetry is on, and nothing while it is off.
+  ThreadGuard guard(1);
+  std::vector<float> a(6 * 8, 0.5f), b(8 * 5, 0.25f), c(6 * 5);
+  Int8APack p;
+  p.pack(6, 8, StridedOperand{a.data(), 8, 1}, 0.1f);
+  auto& reg = telemetry::Registry::instance();
+  telemetry::Counter& calls = reg.counter("tensor.gemm_int8.calls");
+  telemetry::Histogram& ns = reg.histogram("tensor.gemm_int8.ns");
+
+  telemetry::set_enabled(true);
+  const std::uint64_t before = calls.value(), before_ns = ns.count();
+  for (int i = 0; i < 3; ++i)
+    ASSERT_TRUE(p.multiply(5, StridedOperand{b.data(), 5, 1}, c.data(), 5));
+  b[2] = std::nanf("");
+  EXPECT_FALSE(p.multiply(5, StridedOperand{b.data(), 5, 1}, c.data(), 5));
+  EXPECT_EQ(calls.value(), before + 4);
+  EXPECT_EQ(ns.count(), before_ns + 4);
+
+  telemetry::set_enabled(false);
+  b[2] = 0.25f;
+  ASSERT_TRUE(p.multiply(5, StridedOperand{b.data(), 5, 1}, c.data(), 5));
+  EXPECT_EQ(calls.value(), before + 4);
+  EXPECT_EQ(ns.count(), before_ns + 4);
+}
+
 // ------------------------------------------------- fault-view semantics
 
 TEST(FaultViewQuant, StuckCellIsAStuckLevel) {
