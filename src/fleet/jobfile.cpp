@@ -1,11 +1,12 @@
 #include "fleet/jobfile.hpp"
 
-#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
+
+#include "util/json.hpp"
 
 namespace remapd {
 namespace fleet {
@@ -84,103 +85,6 @@ void check_unique_names(const std::vector<JobSpec>& jobs,
       fail(ctx, "duplicate job name '" + j.name + "'");
 }
 
-// --- minimal line-tracking JSON reader (flat arrays of flat objects) ---
-
-class JsonCursor {
- public:
-  JsonCursor(const std::string& text, const std::string& ctx)
-      : text_(text), ctx_(ctx) {}
-
-  [[nodiscard]] std::string where() const {
-    return ctx_ + " line " + std::to_string(line_);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      if (text_[pos_] == '\n') ++line_;
-      ++pos_;
-    }
-  }
-
-  [[nodiscard]] bool at_end() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-
-  [[nodiscard]] char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail(where(), "unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c)
-      fail(where(), std::string("expected '") + c + "', got '" + text_[pos_] +
-                        "'");
-    ++pos_;
-  }
-
-  [[nodiscard]] bool consume_if(char c) {
-    if (at_end() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  /// Quoted string; supports the \" \\ \/ \n \t escapes (enough for job
-  /// names — anything fancier is rejected loudly).
-  [[nodiscard]] std::string string_value() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\n') fail(where(), "unterminated string");
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail(where(), "unterminated escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          default:
-            fail(where(), std::string("unsupported escape '\\") + e + "'");
-        }
-      }
-      out.push_back(c);
-    }
-    if (pos_ >= text_.size()) fail(where(), "unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  /// A scalar value rendered back to text: string contents, or the literal
-  /// digits of an integer. Floats / booleans / nested containers are not
-  /// valid JobSpec field values.
-  [[nodiscard]] std::string scalar_value() {
-    const char c = peek();
-    if (c == '"') return string_value();
-    if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-      std::string out;
-      if (consume_if('-')) out.push_back('-');
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        out.push_back(text_[pos_++]);
-      if (pos_ < text_.size() && (text_[pos_] == '.' || text_[pos_] == 'e'))
-        fail(where(), "expected integer, got a float");
-      return out;
-    }
-    fail(where(), std::string("expected string or integer, got '") + c + "'");
-  }
-
- private:
-  const std::string& text_;
-  std::string ctx_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-};
-
 }  // namespace
 
 std::vector<JobSpec> parse_jobs_csv(const std::string& text,
@@ -240,34 +144,32 @@ std::vector<JobSpec> parse_jobs_csv(const std::string& text,
 
 std::vector<JobSpec> parse_jobs_json(const std::string& text,
                                      const std::string& ctx) {
-  JsonCursor cur(text, ctx);
-  std::vector<JobSpec> jobs;
+  using Kind = json::Value::Kind;
+  json::Value doc;
+  std::string err;
+  if (!json::parse(text, &doc, &err)) fail(ctx, err);
+  auto at_line = [&](std::size_t line) {
+    return ctx + " line " + std::to_string(line);
+  };
+  if (!doc.is(Kind::kArray))
+    fail(at_line(doc.line), "expected an array of job objects");
 
-  cur.expect('[');
-  if (!cur.consume_if(']')) {
-    do {
-      cur.expect('{');
-      const std::string obj_where = cur.where();
-      JobSpec spec;
-      if (!cur.consume_if('}')) {
-        do {
-          // Land the cursor on the key before capturing the location, so
-          // the error names the line the field is actually on.
-          (void)cur.peek();
-          const std::string where = cur.where();
-          const std::string key = cur.string_value();
-          cur.expect(':');
-          const std::string value = cur.scalar_value();
-          set_field(spec, where, key, value);
-        } while (cur.consume_if(','));
-        cur.expect('}');
-      }
-      spec.validate(obj_where);
-      jobs.push_back(std::move(spec));
-    } while (cur.consume_if(','));
-    cur.expect(']');
+  std::vector<JobSpec> jobs;
+  for (const json::Value& obj : doc.items) {
+    if (!obj.is(Kind::kObject)) fail(at_line(obj.line), "expected an object");
+    JobSpec spec;
+    for (const json::Member& m : obj.members) {
+      // A number reaches set_field as its literal text, so parse_int sees
+      // every digit of a 64-bit seed and rejects a float.
+      const json::Value& v = m.value;
+      if (!v.is(Kind::kString) && !v.is(Kind::kNumber))
+        fail(at_line(m.line),
+             "field '" + m.key + "': expected string or integer");
+      set_field(spec, at_line(m.line), m.key, v.str);
+    }
+    spec.validate(at_line(obj.line));
+    jobs.push_back(std::move(spec));
   }
-  if (!cur.at_end()) fail(cur.where(), "trailing content after job array");
   if (jobs.empty()) fail(ctx, "no jobs in file");
   check_unique_names(jobs, ctx);
   return jobs;

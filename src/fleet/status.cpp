@@ -1,31 +1,24 @@
 #include "fleet/status.hpp"
 
-#include <cstdio>
 #include <sstream>
 
-#include "telemetry/export.hpp"
+#include "util/json.hpp"
 
 namespace remapd {
 namespace fleet {
 
 namespace {
 
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
 std::string quoted(const std::string& s) {
-  return "\"" + telemetry::json_escape(s) + "\"";
+  return "\"" + json::escape(s) + "\"";
 }
 
 void chip_json(std::ostringstream& os, const ChipStatus& c) {
   os << "{\"id\":" << c.id << ",\"name\":" << quoted(c.name)
      << ",\"free\":" << (c.free ? "true" : "false")
-     << ",\"job\":" << quoted(c.job) << ",\"health\":" << num(c.health)
-     << ",\"mean_density\":" << num(c.mean_density)
-     << ",\"trend_per_epoch\":" << num(c.trend_per_epoch)
+     << ",\"job\":" << quoted(c.job) << ",\"health\":" << json::number(c.health)
+     << ",\"mean_density\":" << json::number(c.mean_density)
+     << ",\"trend_per_epoch\":" << json::number(c.trend_per_epoch)
      << ",\"wear_rounds\":" << c.wear_rounds
      << ",\"native_faults\":" << c.native_faults << "}";
 }
@@ -41,7 +34,7 @@ void job_json(std::ostringstream& os, const JobStatus& j) {
   os << ",\"epochs_completed\":" << j.epochs_completed
      << ",\"epochs_total\":" << j.epochs_total << ",\"slices\":" << j.slices
      << ",\"migrations\":" << j.migrations
-     << ",\"last_test_accuracy\":" << num(j.last_test_accuracy);
+     << ",\"last_test_accuracy\":" << json::number(j.last_test_accuracy);
   if (!j.failure.empty()) os << ",\"failure\":" << quoted(j.failure);
   os << "}";
 }

@@ -1,46 +1,23 @@
-// Minimal JSONL line parser for the health stream written by the
-// observatory (obs/report.hpp). Handles exactly the subset the writer
-// emits — one flat object per line whose values are strings, numbers, or
-// arrays of numbers — and reports the first syntax error with a message,
-// which is what lets `remapd_report` (and the CI smoke step) fail loudly
-// on a truncated or corrupted stream instead of skipping lines.
+// Line reader for the observatory's health stream (obs/report.hpp): its
+// flat-object contract on top of json::parse. The first violation is an
+// error, so `remapd_report` (and the CI smoke step) fail loudly on a
+// truncated or corrupted stream instead of skipping lines.
 #pragma once
 
-#include <map>
 #include <string>
 #include <string_view>
-#include <vector>
+
+#include "util/json.hpp"
 
 namespace remapd {
 namespace obs {
 
-struct JsonValue {
-  enum class Kind { kString, kNumber, kArray };
-  Kind kind = Kind::kNumber;
-  std::string str;
-  double num = 0.0;
-  std::vector<double> arr;
-
-  [[nodiscard]] bool is_string() const { return kind == Kind::kString; }
-  [[nodiscard]] bool is_number() const { return kind == Kind::kNumber; }
-  [[nodiscard]] bool is_array() const { return kind == Kind::kArray; }
-};
-
-/// One parsed line. Keys are unescaped; insertion order is not preserved.
-using JsonObject = std::map<std::string, JsonValue>;
-
-/// Parse one line of health JSONL. Returns false (and sets `*error` when
-/// non-null) on any syntax violation: non-object line, trailing garbage,
-/// nested objects, booleans/null, or a malformed literal. Blank lines are
-/// rejected — callers should skip them before parsing.
-bool parse_jsonl_line(std::string_view line, JsonObject* out,
+/// Parse one line: a JSON object whose values are strings, numbers or
+/// arrays of numbers. Returns false (and sets `*error` when non-null) on a
+/// syntax error, a non-object line or any other value kind. Blank lines
+/// are rejected; callers skip them.
+bool parse_jsonl_line(std::string_view line, json::Value* out,
                       std::string* error = nullptr);
-
-/// Convenience accessors with defaults (missing key / wrong kind).
-double number_or(const JsonObject& obj, const std::string& key,
-                 double fallback);
-std::string string_or(const JsonObject& obj, const std::string& key,
-                      const std::string& fallback);
 
 }  // namespace obs
 }  // namespace remapd

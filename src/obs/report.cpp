@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "telemetry/export.hpp"
+#include "util/json.hpp"
 #include "util/env.hpp"
 #include "util/log.hpp"
 
@@ -19,12 +20,6 @@ std::atomic<bool> g_enabled{false};
 }
 
 namespace {
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
 
 const char* phase_str(const HealthSample& s) {
   if (s.task == kNoTask) return "idle";
@@ -85,12 +80,13 @@ void Observatory::sample_epoch(const EpochObs& e, const Rcs& rcs,
 }
 
 std::string Observatory::render_current_jsonl() const {
-  using telemetry::json_escape;
+  using json::escape;
+  using json::number;
   std::ostringstream os;
 
-  os << "{\"type\":\"run\",\"model\":\"" << json_escape(info_.model)
-     << "\",\"policy\":\"" << json_escape(info_.policy) << "\",\"dataset\":\""
-     << json_escape(info_.dataset) << "\",\"seed\":" << info_.seed
+  os << "{\"type\":\"run\",\"model\":\"" << escape(info_.model)
+     << "\",\"policy\":\"" << escape(info_.policy) << "\",\"dataset\":\""
+     << escape(info_.dataset) << "\",\"seed\":" << info_.seed
      << ",\"epochs\":" << info_.epochs << ",\"crossbars\":" << info_.crossbars
      << ",\"tiles_x\":" << info_.tiles_x << ",\"tiles_y\":" << info_.tiles_y
      << ",\"xbar_rows\":" << info_.xbar_rows
@@ -99,7 +95,7 @@ std::string Observatory::render_current_jsonl() const {
   for (const RemapAuditRecord& r : audit_.records()) {
     os << "{\"type\":\"remap\",\"epoch\":" << r.epoch << ",\"round\":\""
        << (r.at_training_start ? "start" : "epoch") << "\",\"policy\":\""
-       << json_escape(r.policy) << "\",\"sender\":" << r.sender
+       << escape(r.policy) << "\",\"sender\":" << r.sender
        << ",\"receiver\":"
        << (r.receiver == kNoReceiver ? -1
                                      : static_cast<long long>(r.receiver))
@@ -108,18 +104,18 @@ std::string Observatory::render_current_jsonl() const {
       if (i) os << ",";
       os << r.candidates[i];
     }
-    os << "],\"reason\":\"" << json_escape(r.reason)
-       << "\",\"sender_density\":" << fmt(r.sender_density)
-       << ",\"receiver_density\":" << fmt(r.receiver_density)
-       << ",\"threshold\":" << fmt(r.threshold) << ",\"hops\":" << r.hops
+    os << "],\"reason\":\"" << escape(r.reason)
+       << "\",\"sender_density\":" << number(r.sender_density)
+       << ",\"receiver_density\":" << number(r.receiver_density)
+       << ",\"threshold\":" << number(r.threshold) << ",\"hops\":" << r.hops
        << "}\n";
   }
 
   for (const HealthSample& s : health_.samples())
     os << "{\"type\":\"health\",\"epoch\":" << s.epoch
        << ",\"xbar\":" << s.xbar
-       << ",\"true_density\":" << fmt(s.true_density)
-       << ",\"est_density\":" << fmt(s.est_density) << ",\"sa0\":" << s.sa0
+       << ",\"true_density\":" << number(s.true_density)
+       << ",\"est_density\":" << number(s.est_density) << ",\"sa0\":" << s.sa0
        << ",\"sa1\":" << s.sa1 << ",\"writes\":" << s.writes
        << ",\"remaps\":" << s.remaps << ",\"task\":" << task_json(s.task)
        << ",\"phase\":\"" << phase_str(s) << "\"}\n";
@@ -147,10 +143,10 @@ std::string Observatory::render_current_jsonl() const {
     os << "{\"type\":\"epoch\",\"epoch\":" << e.epoch
        << ",\"remaps\":" << e.remaps << ",\"new_faults\":" << e.new_faults
        << ",\"total_faults\":" << e.total_faults
-       << ",\"train_loss\":" << fmt(e.train_loss)
-       << ",\"test_accuracy\":" << fmt(e.test_accuracy)
-       << ",\"est_mean_abs_err\":" << fmt(st ? st->est_error.mean_abs : 0.0)
-       << ",\"est_max_abs_err\":" << fmt(st ? st->est_error.max_abs : 0.0)
+       << ",\"train_loss\":" << number(e.train_loss)
+       << ",\"test_accuracy\":" << number(e.test_accuracy)
+       << ",\"est_mean_abs_err\":" << number(st ? st->est_error.mean_abs : 0.0)
+       << ",\"est_max_abs_err\":" << number(st ? st->est_error.max_abs : 0.0)
        << ",\"bist_cycles\":" << e.bist_cycles
        << ",\"noc_cycles\":" << (nu ? nu->cycles : 0)
        << ",\"noc_packets\":" << (nu ? nu->packets : 0) << "}\n";

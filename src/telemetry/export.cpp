@@ -16,18 +16,13 @@
 #include "telemetry/registry.hpp"
 #include "telemetry/trace.hpp"
 #include "util/env.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace remapd {
 namespace telemetry {
 
 namespace {
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
 
 /// Microseconds with ns resolution, the unit chrome://tracing expects.
 std::string us_from_ns(std::uint64_t ns) {
@@ -39,8 +34,8 @@ std::string us_from_ns(std::uint64_t ns) {
 }
 
 void append_event_fields(std::ostringstream& os, const TraceEvent& ev) {
-  os << "\"name\":\"" << json_escape(ev.name) << "\",\"cat\":\""
-     << json_escape(ev.cat) << "\",\"ph\":\"" << ev.ph << "\"";
+  os << "\"name\":\"" << json::escape(ev.name) << "\",\"cat\":\""
+     << json::escape(ev.cat) << "\",\"ph\":\"" << ev.ph << "\"";
 }
 
 /// Exact nearest-rank percentile over a sorted sample vector.
@@ -74,30 +69,6 @@ std::map<std::string, SpanSummary> summarize_spans(
 double ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 
 }  // namespace
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string chrome_trace_json() {
   const std::vector<TraceEvent> events = TraceBuffer::instance().snapshot();
@@ -140,13 +111,13 @@ std::string jsonl() {
   }
   Registry& reg = Registry::instance();
   for (const auto& [name, value] : reg.counters())
-    os << "{\"type\":\"counter\",\"name\":\"" << json_escape(name)
+    os << "{\"type\":\"counter\",\"name\":\"" << json::escape(name)
        << "\",\"value\":" << value << "}\n";
   for (const auto& [name, value] : reg.gauges())
-    os << "{\"type\":\"gauge\",\"name\":\"" << json_escape(name)
-       << "\",\"value\":" << format_double(value) << "}\n";
+    os << "{\"type\":\"gauge\",\"name\":\"" << json::escape(name)
+       << "\",\"value\":" << json::number(value) << "}\n";
   for (const auto& [name, h] : reg.histograms())
-    os << "{\"type\":\"histogram\",\"name\":\"" << json_escape(name)
+    os << "{\"type\":\"histogram\",\"name\":\"" << json::escape(name)
        << "\",\"count\":" << h.count << ",\"sum\":" << h.sum
        << ",\"min\":" << h.min << ",\"max\":" << h.max << ",\"p50\":" << h.p50
        << ",\"p95\":" << h.p95 << ",\"p99\":" << h.p99 << "}\n";

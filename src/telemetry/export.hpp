@@ -17,7 +17,6 @@
 #pragma once
 
 #include <string>
-#include <string_view>
 
 namespace remapd {
 namespace telemetry {
@@ -70,9 +69,6 @@ void set_resume_append(bool on);
 
 /// Clear the trace buffer and zero every registry instrument (tests).
 void reset_all();
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-[[nodiscard]] std::string json_escape(std::string_view s);
 
 }  // namespace telemetry
 }  // namespace remapd

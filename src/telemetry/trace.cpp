@@ -4,6 +4,7 @@
 
 #include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
+#include "util/json.hpp"
 
 namespace remapd {
 namespace telemetry {
@@ -36,7 +37,7 @@ std::string with_job_label(std::string args_json) {
   // tag carries just the name.
   if (label.rfind("job:", 0) == 0) label.erase(0, 4);
   std::string tag;
-  if (!label.empty()) tag = "\"job\":\"" + json_escape(label) + "\"";
+  if (!label.empty()) tag = "\"job\":\"" + json::escape(label) + "\"";
   if (trace_id != 0) {
     if (!tag.empty()) tag += ",";
     tag += "\"trace_id\":" + std::to_string(trace_id);

@@ -15,6 +15,7 @@
 #include "fleet/jobfile.hpp"
 #include "fleet/migration.hpp"
 #include "fleet/scheduler.hpp"
+#include "json_prefix.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trainer/fault_aware_trainer.hpp"
 #include "util/parallel.hpp"
@@ -100,6 +101,7 @@ TEST(FleetJobfile, ParsesJsonArray) {
       "   \"priority\": 5}\n"
       "]\n";
   const std::vector<JobSpec> jobs = parse_jobs_json(json, "mix.json");
+  expect_only_whole_parses("job file", json);
   ASSERT_EQ(jobs.size(), 2u);
   EXPECT_EQ(jobs[0].epochs, 3u);
   EXPECT_EQ(jobs[1].policy, "none");
@@ -158,6 +160,41 @@ TEST(FleetJobfile, RejectsMalformedJson) {
   EXPECT_THROW(parse_jobs_json("[{\"name\":\"a\"}] extra", "j"), FleetError);
   EXPECT_THROW(parse_jobs_json("[{\"name\":\"a\"", "j"), FleetError);
   EXPECT_THROW(parse_jobs_json("[]", "j"), FleetError);
+}
+
+/// A seed travels as its literal digits: 2^53 + 1 has no double.
+TEST(FleetJobfile, JsonSeedKeepsAllDigits) {
+  const std::vector<JobSpec> jobs = parse_jobs_json(
+      R"([{"name": "a", "seed": 9007199254740993}])", "j");
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].seed, 9007199254740993u);
+  EXPECT_THROW(parse_jobs_json(R"([{"name":"a","seed":1e3}])", "j"),
+               FleetError);
+}
+
+/// Escapes such as \r and \uXXXX decode inside a job name.
+TEST(FleetJobfile, JsonNamesDecodeEscapes) {
+  const std::vector<JobSpec> jobs =
+      parse_jobs_json(R"([{"name":"a\rb"},{"name":"a\u0041\/"}])", "j");
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[0].name, "a\rb");
+  EXPECT_EQ(jobs[1].name, "aA/");
+}
+
+TEST(FleetJobfile, JsonErrorsNameFileAndLine) {
+  auto error_of = [](const std::string& text) -> std::string {
+    try {
+      (void)parse_jobs_json(text, "jobs.json");
+    } catch (const FleetError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  // Syntax errors carry a column; a wrong shape names the line.
+  EXPECT_EQ(error_of("[\n {\"name\": \"a\",}\n]"),
+            "jobs.json: trailing comma at line 2 column 15");
+  EXPECT_EQ(error_of("[\n {\"name\": \"a\"},\n 4\n]"),
+            "jobs.json line 3: expected an object");
 }
 
 // ------------------------------------------------------------ chip pool

@@ -24,6 +24,7 @@
 #include "fleet/status.hpp"
 #include "obs/http_server.hpp"
 #include "telemetry/telemetry.hpp"
+#include "json_prefix.hpp"
 #include "util/csv.hpp"
 #include "util/parallel.hpp"
 
@@ -488,11 +489,22 @@ TEST(FleetServing, StatusSnapshotCarriesChipAndJobRows) {
   EXPECT_GT(st.jobs[0].last_test_accuracy, 0.0);
   EXPECT_GE(board.version(), 2u);  // pre-run publish + per-step publishes
 
-  const std::string json = st.json();
-  for (const char* field :
-       {"\"step\":", "\"done\":true", "\"chips\":[", "\"jobs\":[",
-        "\"trace_id\":1", "\"health\":", "\"epochs_completed\":"})
-    EXPECT_NE(json.find(field), std::string::npos) << field;
+  expect_only_whole_parses("status", st.json());
+  json::Value doc;
+  ASSERT_TRUE(json::parse(st.json(), &doc));
+  EXPECT_EQ(doc.num("step", -1), static_cast<double>(st.step));
+  ASSERT_NE(doc.find("done"), nullptr);
+  EXPECT_TRUE(doc.find("done")->boolean);
+  const json::Value* chips = doc.find("chips");
+  const json::Value* jobs = doc.find("jobs");
+  ASSERT_TRUE(chips && jobs);
+  ASSERT_EQ(chips->items.size(), 2u);
+  ASSERT_EQ(jobs->items.size(), 1u);
+  const json::Value* health = chips->items[0].find("health");
+  ASSERT_NE(health, nullptr);
+  EXPECT_EQ(health->str, json::number(st.chips[0].health));
+  EXPECT_EQ(jobs->items[0].num("trace_id"), 1.0);
+  EXPECT_EQ(jobs->items[0].num("epochs_completed"), 1.0);
 }
 
 TEST(FleetServing, StopRequestEndsRunAtStepBoundary) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/remap_d.hpp"
+#include "json_prefix.hpp"
 #include "obs/audit.hpp"
 #include "obs/health.hpp"
 #include "obs/jsonl.hpp"
@@ -18,9 +19,7 @@
 namespace remapd {
 namespace {
 
-using obs::JsonObject;
-using obs::number_or;
-using obs::string_or;
+using JsonObject = json::Value;
 
 /// Same small rig as PolicyTest in test_core.cpp: 4x4 tiles of 32x32
 /// crossbars, one 64x64 layer -> tasks on crossbars 0..7.
@@ -240,24 +239,30 @@ TEST(ObsJsonl, ParsesFlatObjects) {
       R"({"type":"health","epoch":3,"est_density":0.0125,)"
       R"("candidates":[1,2,3],"phase":"forward","neg":-1})",
       &obj));
-  EXPECT_EQ(string_or(obj, "type", ""), "health");
-  EXPECT_DOUBLE_EQ(number_or(obj, "epoch", -1), 3.0);
-  EXPECT_DOUBLE_EQ(number_or(obj, "est_density", 0), 0.0125);
-  EXPECT_DOUBLE_EQ(number_or(obj, "neg", 0), -1.0);
-  ASSERT_TRUE(obj.at("candidates").is_array());
-  EXPECT_EQ(obj.at("candidates").arr, (std::vector<double>{1, 2, 3}));
+  EXPECT_EQ(obj.text("type", ""), "health");
+  EXPECT_DOUBLE_EQ(obj.num("epoch", -1), 3.0);
+  EXPECT_DOUBLE_EQ(obj.num("est_density", 0), 0.0125);
+  EXPECT_DOUBLE_EQ(obj.num("neg", 0), -1.0);
+  const JsonObject* cands = obj.find("candidates");
+  ASSERT_TRUE(cands && cands->is(JsonObject::Kind::kArray));
+  std::vector<double> nums;
+  for (const JsonObject& c : cands->items) nums.push_back(c.number);
+  EXPECT_EQ(nums, (std::vector<double>{1, 2, 3}));
   // Defaults for missing keys / wrong kinds.
-  EXPECT_DOUBLE_EQ(number_or(obj, "missing", 7.5), 7.5);
-  EXPECT_EQ(string_or(obj, "epoch", "d"), "d");
+  EXPECT_DOUBLE_EQ(obj.num("missing", 7.5), 7.5);
+  EXPECT_EQ(obj.text("epoch", "d"), "d");
 }
 
 TEST(ObsJsonl, ParsesEscapesAndEmpty) {
   JsonObject obj;
   ASSERT_TRUE(obs::parse_jsonl_line(R"({"s":"a\"b\\c\nd","e":[]})", &obj));
-  EXPECT_EQ(obj.at("s").str, "a\"b\\c\nd");
-  EXPECT_TRUE(obj.at("e").arr.empty());
+  EXPECT_EQ(obj.text("s"), "a\"b\\c\nd");
+  EXPECT_TRUE(obj.find("e")->items.empty());
+  // The \u00XX escapes json::escape writes for control bytes decode back.
+  ASSERT_TRUE(obs::parse_jsonl_line(R"({"s":"a\u0001b"})", &obj));
+  EXPECT_EQ(obj.text("s"), std::string("a\x01") + "b");
   ASSERT_TRUE(obs::parse_jsonl_line("{}", &obj));
-  EXPECT_TRUE(obj.empty());
+  EXPECT_TRUE(obj.members.empty());
 }
 
 TEST(ObsJsonl, RejectsMalformedLines) {
@@ -270,6 +275,14 @@ TEST(ObsJsonl, RejectsMalformedLines) {
   EXPECT_FALSE(obs::parse_jsonl_line(R"({"a":{"nested":1}})", &obj, &err));
   EXPECT_FALSE(obs::parse_jsonl_line(R"({"a":[1,]})", &obj, &err));
   EXPECT_FALSE(obs::parse_jsonl_line(R"({"a":tru})", &obj, &err));
+  // Valid JSON outside the flat-object contract.
+  EXPECT_FALSE(obs::parse_jsonl_line("[1]", &obj, &err));
+  EXPECT_FALSE(obs::parse_jsonl_line(R"({"a":true})", &obj, &err));
+  EXPECT_FALSE(obs::parse_jsonl_line(R"({"a":[1,"x"]})", &obj, &err));
+  // Not JSON numbers.
+  EXPECT_FALSE(obs::parse_jsonl_line(R"({"a":+1})", &obj, &err));
+  EXPECT_FALSE(obs::parse_jsonl_line(R"({"a":.5})", &obj, &err));
+  EXPECT_FALSE(obs::parse_jsonl_line(R"({"a":1.})", &obj, &err));
   EXPECT_FALSE(err.empty());
 }
 
@@ -309,12 +322,14 @@ TEST_F(ObsTest, ObservatoryJsonlRoundTrip) {
     eo.total_faults = 100 + epoch;
     eo.train_loss = 1.5f;
     eo.test_accuracy = 0.25;
+    ob.noc().record_round(
+        epoch, obs::simulate_round_traffic(ob.audit().records(), 0, *rcs_));
     ob.sample_epoch(eo, *rcs_, density_, *mapper_);
   }
 
-  // Every line must parse; regroup by type.
+  // Every line must parse, and no strict prefix of one may; regroup by type.
   const std::string stream = ob.jsonl();
-  std::size_t runs = 0, epochs = 0, healths = 0, remaps = 0;
+  std::size_t runs = 0, epochs = 0, healths = 0, remaps = 0, nocs = 0;
   std::vector<JsonObject> epoch_lines;
   std::istringstream is(stream);
   std::string line;
@@ -323,11 +338,12 @@ TEST_F(ObsTest, ObservatoryJsonlRoundTrip) {
     JsonObject obj;
     std::string err;
     ASSERT_TRUE(obs::parse_jsonl_line(line, &obj, &err)) << err << ": " << line;
-    const std::string type = string_or(obj, "type", "");
+    const std::string type = obj.text("type", "");
+    expect_only_whole_parses(type, line);
     if (type == "run") {
       ++runs;
-      EXPECT_EQ(string_or(obj, "dataset", ""), "synthetic \"quoted\"");
-      EXPECT_DOUBLE_EQ(number_or(obj, "seed", 0), 11.0);
+      EXPECT_EQ(obj.text("dataset", ""), "synthetic \"quoted\"");
+      EXPECT_DOUBLE_EQ(obj.num("seed", 0), 11.0);
     } else if (type == "epoch") {
       ++epochs;
       epoch_lines.push_back(std::move(obj));
@@ -335,21 +351,24 @@ TEST_F(ObsTest, ObservatoryJsonlRoundTrip) {
       ++healths;
     } else if (type == "remap") {
       ++remaps;
+    } else if (type == "noc") {
+      ++nocs;
     }
   }
   EXPECT_EQ(runs, 1u);
+  EXPECT_GT(nocs, 0u);
   ASSERT_EQ(epochs, 2u);
   EXPECT_EQ(healths, 2 * rcs_->total_crossbars());
   EXPECT_EQ(remaps, ob.audit().size());
 
   for (std::size_t e = 0; e < 2; ++e) {
-    EXPECT_DOUBLE_EQ(number_or(epoch_lines[e], "epoch", -1),
+    EXPECT_DOUBLE_EQ(epoch_lines[e].num("epoch", -1),
                      static_cast<double>(e));
-    EXPECT_DOUBLE_EQ(number_or(epoch_lines[e], "remaps", -1),
+    EXPECT_DOUBLE_EQ(epoch_lines[e].num("remaps", -1),
                      static_cast<double>(expected_swaps[e]));
-    EXPECT_DOUBLE_EQ(number_or(epoch_lines[e], "new_faults", -1),
+    EXPECT_DOUBLE_EQ(epoch_lines[e].num("new_faults", -1),
                      static_cast<double>(5 + e));
-    EXPECT_DOUBLE_EQ(number_or(epoch_lines[e], "total_faults", -1),
+    EXPECT_DOUBLE_EQ(epoch_lines[e].num("total_faults", -1),
                      static_cast<double>(100 + e));
     // The audit log agrees with the trainer's per-epoch counts.
     EXPECT_EQ(ob.audit().swaps_in_epoch(e), expected_swaps[e]);
@@ -382,9 +401,9 @@ TEST_F(ObsTest, ObservatorySealsRunsSequentially) {
     if (line.empty()) continue;
     JsonObject obj;
     ASSERT_TRUE(obs::parse_jsonl_line(line, &obj));
-    if (string_or(obj, "type", "") == "run") {
+    if (obj.text("type", "") == "run") {
       ++runs;
-      models.push_back(string_or(obj, "model", ""));
+      models.push_back(obj.text("model", ""));
     }
   }
   EXPECT_EQ(runs, 2u);

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <cctype>
+#include <map>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "json_prefix.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace remapd {
@@ -23,111 +26,6 @@ class TelemetryFixture : public ::testing::Test {
     set_enabled(false);
     reset_all();
   }
-};
-
-// ---------------------------------------------------------------------------
-// Minimal recursive-descent JSON validator — enough to prove the Chrome
-// trace export is well-formed JSON, without a parser dependency.
-class JsonValidator {
- public:
-  explicit JsonValidator(const std::string& text) : s_(text) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-      }
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-'))
-      ++pos_;
-    return pos_ > start;
-  }
-
-  bool literal(const char* lit) {
-    const std::string l(lit);
-    if (s_.compare(pos_, l.size(), l) != 0) return false;
-    pos_ += l.size();
-    return true;
-  }
-
-  [[nodiscard]] char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -278,6 +176,22 @@ TEST_F(TelemetryFixture, KernelTimerFeedsCounterAndHistogram) {
 // ---------------------------------------------------------------------------
 // Exporters.
 
+/// Parse `text`, failing the test on a syntax error.
+json::Value parsed(const std::string& text) {
+  json::Value v;
+  std::string err;
+  EXPECT_TRUE(json::parse(text, &v, &err)) << err << "\n" << text;
+  return v;
+}
+
+/// The trace event named `name`, or nullptr.
+const json::Value* event_named(const json::Value& trace,
+                               std::string_view name) {
+  for (const json::Value& ev : trace.items)
+    if (ev.text("name") == name) return &ev;
+  return nullptr;
+}
+
 TEST_F(TelemetryFixture, ChromeTraceIsParseableJsonArrayOfXEvents) {
   {
     TraceSpan outer("epoch", "trainer", "{\"epoch\":0}");
@@ -285,29 +199,44 @@ TEST_F(TelemetryFixture, ChromeTraceIsParseableJsonArrayOfXEvents) {
   }
   trace_instant("remap", "core", "{\"sender\":1,\"receiver\":2}");
 
-  const std::string json = chrome_trace_json();
-  JsonValidator v(json);
-  EXPECT_TRUE(v.valid()) << json;
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"forward\""), std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"epoch\":0}"), std::string::npos);
-  EXPECT_NE(json.find("\"dur\":"), std::string::npos);
+  expect_only_whole_parses("chrome trace", chrome_trace_json());
+  const json::Value trace = parsed(chrome_trace_json());
+  ASSERT_TRUE(trace.is(json::Value::Kind::kArray));
+  ASSERT_EQ(trace.items.size(), 3u);
+
+  const json::Value* outer = event_named(trace, "epoch");
+  const json::Value* inner = event_named(trace, "forward");
+  const json::Value* remap = event_named(trace, "remap");
+  ASSERT_TRUE(outer && inner && remap);
+  EXPECT_EQ(outer->text("ph"), "X");
+  EXPECT_EQ(inner->text("ph"), "X");
+  EXPECT_EQ(inner->text("cat"), "trainer");
+  EXPECT_GE(outer->num("dur", -1), inner->num("dur", -1));
+  EXPECT_GE(inner->num("dur", -1), 0.0);
+  ASSERT_NE(outer->find("args"), nullptr);
+  EXPECT_EQ(outer->find("args")->num("epoch", -1), 0.0);
+  EXPECT_EQ(inner->find("args"), nullptr);
+
+  EXPECT_EQ(remap->text("ph"), "i");
+  EXPECT_EQ(remap->find("dur"), nullptr);
+  ASSERT_NE(remap->find("args"), nullptr);
+  EXPECT_EQ(remap->find("args")->num("sender"), 1.0);
+  EXPECT_EQ(remap->find("args")->num("receiver"), 2.0);
 }
 
 TEST_F(TelemetryFixture, EmptyTraceIsStillValidJson) {
-  const std::string json = chrome_trace_json();
-  JsonValidator v(json);
-  EXPECT_TRUE(v.valid()) << json;
+  const json::Value trace = parsed(chrome_trace_json());
+  EXPECT_TRUE(trace.is(json::Value::Kind::kArray));
+  EXPECT_TRUE(trace.items.empty());
 }
 
 TEST_F(TelemetryFixture, JsonEscapingSurvivesHostileNames) {
-  {
-    TraceSpan span("quote\" back\\slash\nnewline", "test");
-  }
-  const std::string json = chrome_trace_json();
-  JsonValidator v(json);
-  EXPECT_TRUE(v.valid()) << json;
+  const std::string hostile =
+      "quote\" back\\slash\nnewline\ttab\x01" "ctl \xc3\xa9 /";
+  { TraceSpan span(hostile, "test"); }
+  const json::Value trace = parsed(chrome_trace_json());
+  ASSERT_EQ(trace.items.size(), 1u);
+  EXPECT_EQ(trace.items[0].text("name"), hostile);
 }
 
 TEST_F(TelemetryFixture, JsonlEmitsOneObjectPerLine) {
@@ -315,23 +244,18 @@ TEST_F(TelemetryFixture, JsonlEmitsOneObjectPerLine) {
   Registry::instance().counter("test.c").add(3);
   Registry::instance().histogram("test.h").record(11);
 
-  const std::string out = jsonl();
-  std::size_t lines = 0, start = 0;
-  while (start < out.size()) {
-    std::size_t end = out.find('\n', start);
-    if (end == std::string::npos) end = out.size();
-    const std::string line = out.substr(start, end - start);
-    if (!line.empty()) {
-      JsonValidator v(line);
-      EXPECT_TRUE(v.valid()) << line;
-      ++lines;
-    }
-    start = end + 1;
+  // The registry keeps (zeroed) instruments of earlier tests, so key the
+  // lines by type and name.
+  std::map<std::string, json::Value> lines;
+  std::istringstream is(jsonl());
+  for (std::string line; std::getline(is, line);) {
+    json::Value obj = parsed(line);
+    lines.emplace(obj.text("type") + " " + obj.text("name"), std::move(obj));
   }
-  EXPECT_GE(lines, 3u);
-  EXPECT_NE(out.find("\"type\":\"span\""), std::string::npos);
-  EXPECT_NE(out.find("\"type\":\"counter\""), std::string::npos);
-  EXPECT_NE(out.find("\"type\":\"histogram\""), std::string::npos);
+  EXPECT_EQ(lines["span alpha"].text("cat"), "test");
+  EXPECT_EQ(lines["counter test.c"].num("value"), 3.0);
+  EXPECT_EQ(lines["histogram test.h"].num("count"), 1.0);
+  EXPECT_EQ(lines["histogram test.h"].num("max"), 11.0);
 }
 
 TEST_F(TelemetryFixture, SummaryTableListsSpansAndCounters) {

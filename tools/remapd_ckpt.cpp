@@ -14,35 +14,14 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "core/fault_density_map.hpp"
+#include "util/json.hpp"
 #include "xbar/mapper.hpp"
 
 namespace {
 
 using namespace remapd;
 
-std::string esc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using json::escape;
 
 void dump_sections(const ckpt::CheckpointReader& r) {
   std::printf("  \"format_version\": %u,\n  \"sections\": [",
@@ -51,7 +30,7 @@ void dump_sections(const ckpt::CheckpointReader& r) {
   for (const ckpt::SectionInfo& s : r.sections()) {
     std::printf("%s\n    {\"name\": \"%s\", \"offset\": %llu, \"size\": %llu, "
                 "\"crc32\": %u}",
-                first ? "" : ",", esc(s.name).c_str(),
+                first ? "" : ",", escape(s.name).c_str(),
                 static_cast<unsigned long long>(s.offset),
                 static_cast<unsigned long long>(s.size), s.crc);
     first = false;
@@ -67,8 +46,8 @@ void dump_meta(const ckpt::CheckpointReader& r) {
               "\"dataset\": \"%s\", \"seed\": %llu, \"epochs_total\": %llu, "
               "\"epochs_completed\": %llu, \"crossbars\": %llu, "
               "\"tasks\": %llu}",
-              esc(m.model).c_str(), esc(m.policy).c_str(),
-              esc(m.dataset).c_str(),
+              escape(m.model).c_str(), escape(m.policy).c_str(),
+              escape(m.dataset).c_str(),
               static_cast<unsigned long long>(m.seed),
               static_cast<unsigned long long>(m.epochs_total),
               static_cast<unsigned long long>(m.epochs_completed),
@@ -82,8 +61,8 @@ void dump_config(const ckpt::CheckpointReader& r) {
   std::printf(",\n  \"config\": {");
   bool first = true;
   for (const auto& [k, v] : pairs) {
-    std::printf("%s\n    \"%s\": \"%s\"", first ? "" : ",", esc(k).c_str(),
-                esc(v).c_str());
+    std::printf("%s\n    \"%s\": \"%s\"", first ? "" : ",", escape(k).c_str(),
+                escape(v).c_str());
     first = false;
   }
   std::printf("\n  }");
@@ -186,7 +165,7 @@ int main(int argc, char** argv) {
   }
   try {
     const ckpt::CheckpointReader reader{std::string(argv[1])};
-    std::printf("{\n  \"file\": \"%s\",\n", esc(argv[1]).c_str());
+    std::printf("{\n  \"file\": \"%s\",\n", escape(argv[1]).c_str());
     dump_sections(reader);
     if (reader.has("meta")) dump_meta(reader);
     if (reader.has("config")) dump_config(reader);

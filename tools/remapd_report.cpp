@@ -20,9 +20,7 @@
 
 namespace {
 
-using remapd::obs::JsonObject;
-using remapd::obs::number_or;
-using remapd::obs::string_or;
+using JsonObject = remapd::json::Value;
 
 struct Options {
   std::string path;
@@ -73,13 +71,13 @@ bool parse_args(int argc, char** argv, Options* opt) {
 void print_run_header(const Run& run, std::size_t idx) {
   std::printf("== run %zu: model=%s policy=%s dataset=%s seed=%lld "
               "(%lld crossbars, %lldx%lld tiles) ==\n",
-              idx, string_or(run.info, "model", "?").c_str(),
-              string_or(run.info, "policy", "?").c_str(),
-              string_or(run.info, "dataset", "?").c_str(),
-              static_cast<long long>(number_or(run.info, "seed", 0)),
-              static_cast<long long>(number_or(run.info, "crossbars", 0)),
-              static_cast<long long>(number_or(run.info, "tiles_x", 0)),
-              static_cast<long long>(number_or(run.info, "tiles_y", 0)));
+              idx, run.info.text("model", "?").c_str(),
+              run.info.text("policy", "?").c_str(),
+              run.info.text("dataset", "?").c_str(),
+              static_cast<long long>(run.info.num("seed", 0)),
+              static_cast<long long>(run.info.num("crossbars", 0)),
+              static_cast<long long>(run.info.num("tiles_x", 0)),
+              static_cast<long long>(run.info.num("tiles_y", 0)));
 }
 
 void print_epochs(const Run& run) {
@@ -89,26 +87,26 @@ void print_epochs(const Run& run) {
               "test_acc", "est_abs_err", "bist_cycles", "noc_cycles");
   for (const JsonObject& e : run.epochs)
     std::printf("%6lld %7lld %11lld %13lld %11.4f %10.4f %13.6f %12lld %11lld\n",
-                static_cast<long long>(number_or(e, "epoch", 0)),
-                static_cast<long long>(number_or(e, "remaps", 0)),
-                static_cast<long long>(number_or(e, "new_faults", 0)),
-                static_cast<long long>(number_or(e, "total_faults", 0)),
-                number_or(e, "train_loss", 0), number_or(e, "test_accuracy", 0),
-                number_or(e, "est_mean_abs_err", 0),
-                static_cast<long long>(number_or(e, "bist_cycles", 0)),
-                static_cast<long long>(number_or(e, "noc_cycles", 0)));
+                static_cast<long long>(e.num("epoch", 0)),
+                static_cast<long long>(e.num("remaps", 0)),
+                static_cast<long long>(e.num("new_faults", 0)),
+                static_cast<long long>(e.num("total_faults", 0)),
+                e.num("train_loss", 0), e.num("test_accuracy", 0),
+                e.num("est_mean_abs_err", 0),
+                static_cast<long long>(e.num("bist_cycles", 0)),
+                static_cast<long long>(e.num("noc_cycles", 0)));
 }
 
 void print_health_row(const JsonObject& h) {
   std::printf("%6lld %6lld %11.5f %10.5f %6lld %6lld %8lld %7lld %s\n",
-              static_cast<long long>(number_or(h, "epoch", 0)),
-              static_cast<long long>(number_or(h, "xbar", 0)),
-              number_or(h, "true_density", 0), number_or(h, "est_density", 0),
-              static_cast<long long>(number_or(h, "sa0", 0)),
-              static_cast<long long>(number_or(h, "sa1", 0)),
-              static_cast<long long>(number_or(h, "writes", 0)),
-              static_cast<long long>(number_or(h, "remaps", 0)),
-              string_or(h, "phase", "?").c_str());
+              static_cast<long long>(h.num("epoch", 0)),
+              static_cast<long long>(h.num("xbar", 0)),
+              h.num("true_density", 0), h.num("est_density", 0),
+              static_cast<long long>(h.num("sa0", 0)),
+              static_cast<long long>(h.num("sa1", 0)),
+              static_cast<long long>(h.num("writes", 0)),
+              static_cast<long long>(h.num("remaps", 0)),
+              h.text("phase", "?").c_str());
 }
 
 void print_health(const Run& run, const Options& opt) {
@@ -119,21 +117,20 @@ void print_health(const Run& run, const Options& opt) {
     std::printf(head, "epoch", "xbar", "true_dens", "est_dens", "sa0", "sa1",
                 "writes", "remaps", "phase");
     for (const JsonObject& h : run.health)
-      if (static_cast<long long>(number_or(h, "xbar", -1)) == opt.xbar)
+      if (static_cast<long long>(h.num("xbar", -1)) == opt.xbar)
         print_health_row(h);
     return;
   }
 
   double last_epoch = 0;
   for (const JsonObject& h : run.health)
-    last_epoch = std::max(last_epoch, number_or(h, "epoch", 0));
+    last_epoch = std::max(last_epoch, h.num("epoch", 0));
   std::vector<const JsonObject*> final_rows;
   for (const JsonObject& h : run.health)
-    if (number_or(h, "epoch", 0) == last_epoch) final_rows.push_back(&h);
+    if (h.num("epoch", 0) == last_epoch) final_rows.push_back(&h);
   std::stable_sort(final_rows.begin(), final_rows.end(),
                    [](const JsonObject* a, const JsonObject* b) {
-                     return number_or(*a, "true_density", 0) >
-                            number_or(*b, "true_density", 0);
+                     return a->num("true_density") > b->num("true_density");
                    });
   if (final_rows.size() > opt.top_k) final_rows.resize(opt.top_k);
 
@@ -151,18 +148,16 @@ void print_remaps(const Run& run, const Options& opt) {
               "sender", "receiver", "send_dens", "recv_dens", "hops", "cands",
               "reason");
   for (const JsonObject& r : run.remaps) {
-    const long long recv = static_cast<long long>(number_or(r, "receiver", -1));
+    const long long recv = static_cast<long long>(r.num("receiver", -1));
     std::size_t cands = 0;
-    const auto it = r.find("candidates");
-    if (it != r.end() && it->second.is_array()) cands = it->second.arr.size();
+    if (const JsonObject* c = r.find("candidates")) cands = c->items.size();
     std::printf("%6lld %6s %7lld %9lld %11.5f %11.5f %5lld %6zu %s\n",
-                static_cast<long long>(number_or(r, "epoch", 0)),
-                string_or(r, "round", "?").c_str(),
-                static_cast<long long>(number_or(r, "sender", 0)), recv,
-                number_or(r, "sender_density", 0),
-                number_or(r, "receiver_density", 0),
-                static_cast<long long>(number_or(r, "hops", 0)), cands,
-                string_or(r, "reason", "?").c_str());
+                static_cast<long long>(r.num("epoch", 0)),
+                r.text("round", "?").c_str(),
+                static_cast<long long>(r.num("sender", 0)), recv,
+                r.num("sender_density", 0), r.num("receiver_density", 0),
+                static_cast<long long>(r.num("hops", 0)), cands,
+                r.text("reason", "?").c_str());
   }
   (void)opt;
 }
@@ -172,7 +167,7 @@ void print_noc(const Run& run, const Options& opt) {
   // Per-epoch hotspot ranking over the per-router records.
   std::vector<double> epochs;
   for (const JsonObject& n : run.noc) {
-    const double e = number_or(n, "epoch", 0);
+    const double e = n.num("epoch", 0);
     if (std::find(epochs.begin(), epochs.end(), e) == epochs.end())
       epochs.push_back(e);
   }
@@ -182,19 +177,18 @@ void print_noc(const Run& run, const Options& opt) {
   for (const double e : epochs) {
     std::vector<const JsonObject*> rows;
     for (const JsonObject& n : run.noc)
-      if (number_or(n, "epoch", 0) == e && number_or(n, "flits", 0) > 0)
+      if (n.num("epoch", 0) == e && n.num("flits", 0) > 0)
         rows.push_back(&n);
     std::stable_sort(rows.begin(), rows.end(),
                      [](const JsonObject* a, const JsonObject* b) {
-                       return number_or(*a, "flits", 0) >
-                              number_or(*b, "flits", 0);
+                       return a->num("flits", 0) > b->num("flits", 0);
                      });
     if (rows.size() > opt.top_k) rows.resize(opt.top_k);
     std::printf("  epoch %lld:", static_cast<long long>(e));
     for (const JsonObject* n : rows)
       std::printf(" r%lld(%lld)",
-                  static_cast<long long>(number_or(*n, "router", 0)),
-                  static_cast<long long>(number_or(*n, "flits", 0)));
+                  static_cast<long long>(n->num("router", 0)),
+                  static_cast<long long>(n->num("flits", 0)));
     std::printf("\n");
   }
 }
@@ -227,7 +221,7 @@ int main(int argc, char** argv) {
                 << ": parse error: " << err << "\n";
       return 1;
     }
-    const std::string type = string_or(obj, "type", "");
+    const std::string type = obj.text("type", "");
     if (type == "run") {
       runs.emplace_back();
       runs.back().info = std::move(obj);

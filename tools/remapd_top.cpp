@@ -11,187 +11,25 @@
 //
 // Exits 0 on a clean snapshot (or when the daemon reports done and --once),
 // 1 when the daemon is unreachable. The tool is deliberately self-contained
-// (own HTTP GET + own minimal JSON reader) so it links against nothing but
-// the util library — it must stay usable against a daemon built from any
-// other revision.
+// (own HTTP GET, the util library's JSON reader) so it links against
+// nothing but the util library — it must stay usable against a daemon built
+// from any other revision.
 
 #include <netdb.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
-#include <memory>
 #include <string>
 #include <thread>
-#include <vector>
+
+#include "util/json.hpp"
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader: parses the /status payload (objects, arrays, strings,
-// numbers, booleans, null) into a tree. Strict enough for a trusted local
-// daemon; not a general-purpose validator.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> fields;
-
-  [[nodiscard]] const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : fields)
-      if (k == key) return &v;
-    return nullptr;
-  }
-  [[nodiscard]] double num(const std::string& key, double fallback = 0) const {
-    const JsonValue* v = find(key);
-    return v && v->kind == Kind::kNumber ? v->number : fallback;
-  }
-  [[nodiscard]] std::string text(const std::string& key) const {
-    const JsonValue* v = find(key);
-    return v && v->kind == Kind::kString ? v->str : "";
-  }
-  [[nodiscard]] bool truthy(const std::string& key) const {
-    const JsonValue* v = find(key);
-    return v && v->kind == Kind::kBool && v->boolean;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : s_(text) {}
-
-  bool parse(JsonValue& out, std::string& error) {
-    error_ = &error;
-    if (!value(out)) return false;
-    skip_ws();
-    if (pos_ != s_.size()) return fail("trailing content");
-    return true;
-  }
-
- private:
-  bool fail(const std::string& why) {
-    *error_ = why + " at offset " + std::to_string(pos_);
-    return false;
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-  }
-  bool literal(std::string_view word) {
-    if (s_.substr(pos_, word.size()) != word) return fail("bad literal");
-    pos_ += word.size();
-    return true;
-  }
-  bool string(std::string& out) {
-    if (s_[pos_] != '"') return fail("expected string");
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return fail("truncated escape");
-        char e = s_[pos_++];
-        switch (e) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'u':
-            // Status payloads are ASCII; render any \uXXXX as '?'.
-            if (pos_ + 4 > s_.size()) return fail("truncated \\u escape");
-            pos_ += 4;
-            c = '?';
-            break;
-          default: c = e; break;
-        }
-      }
-      out.push_back(c);
-    }
-    if (pos_ >= s_.size()) return fail("unterminated string");
-    ++pos_;  // closing quote
-    return true;
-  }
-  bool value(JsonValue& out) {
-    skip_ws();
-    if (pos_ >= s_.size()) return fail("unexpected end");
-    const char c = s_[pos_];
-    if (c == '{') {
-      out.kind = JsonValue::Kind::kObject;
-      ++pos_;
-      skip_ws();
-      if (pos_ < s_.size() && s_[pos_] == '}') { ++pos_; return true; }
-      while (true) {
-        skip_ws();
-        std::string key;
-        if (!string(key)) return false;
-        skip_ws();
-        if (pos_ >= s_.size() || s_[pos_] != ':') return fail("expected ':'");
-        ++pos_;
-        JsonValue v;
-        if (!value(v)) return false;
-        out.fields.emplace_back(std::move(key), std::move(v));
-        skip_ws();
-        if (pos_ >= s_.size()) return fail("unterminated object");
-        if (s_[pos_] == ',') { ++pos_; continue; }
-        if (s_[pos_] == '}') { ++pos_; return true; }
-        return fail("expected ',' or '}'");
-      }
-    }
-    if (c == '[') {
-      out.kind = JsonValue::Kind::kArray;
-      ++pos_;
-      skip_ws();
-      if (pos_ < s_.size() && s_[pos_] == ']') { ++pos_; return true; }
-      while (true) {
-        JsonValue v;
-        if (!value(v)) return false;
-        out.items.push_back(std::move(v));
-        skip_ws();
-        if (pos_ >= s_.size()) return fail("unterminated array");
-        if (s_[pos_] == ',') { ++pos_; continue; }
-        if (s_[pos_] == ']') { ++pos_; return true; }
-        return fail("expected ',' or ']'");
-      }
-    }
-    if (c == '"') {
-      out.kind = JsonValue::Kind::kString;
-      return string(out.str);
-    }
-    if (c == 't') { out.kind = JsonValue::Kind::kBool; out.boolean = true;
-                    return literal("true"); }
-    if (c == 'f') { out.kind = JsonValue::Kind::kBool; out.boolean = false;
-                    return literal("false"); }
-    if (c == 'n') { out.kind = JsonValue::Kind::kNull;
-                    return literal("null"); }
-    // number
-    const std::size_t start = pos_;
-    if (s_[pos_] == '-' || s_[pos_] == '+') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '-' || s_[pos_] == '+'))
-      ++pos_;
-    if (pos_ == start) return fail("expected value");
-    out.kind = JsonValue::Kind::kNumber;
-    out.number = std::atof(std::string(s_.substr(start, pos_ - start)).c_str());
-    return true;
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-  std::string* error_ = nullptr;
-};
 
 // ---------------------------------------------------------------------------
 // One-shot HTTP GET (the daemon speaks Connection: close, so read-to-EOF
@@ -266,12 +104,15 @@ bool http_get(const std::string& host, const std::string& port,
 volatile std::sig_atomic_t g_interrupted = 0;
 void on_sigint(int) { g_interrupted = 1; }
 
-void render(const JsonValue& st) {
+using remapd::json::Value;
+
+void render(const Value& st) {
+  const Value* done = st.find("done");
   std::printf("fleet  step %zu  %s   jobs: %zu submitted, %zu queued, "
               "%zu running, %zu completed, %zu failed, %zu rejected   "
               "migrations: %zu\n",
               static_cast<std::size_t>(st.num("step")),
-              st.truthy("done") ? "DONE   " : "RUNNING",
+              done && done->boolean ? "DONE   " : "RUNNING",
               static_cast<std::size_t>(st.num("submitted")),
               static_cast<std::size_t>(st.num("queued")),
               static_cast<std::size_t>(st.num("running")),
@@ -280,11 +121,11 @@ void render(const JsonValue& st) {
               static_cast<std::size_t>(st.num("rejected")),
               static_cast<std::size_t>(st.num("migrations")));
 
-  const JsonValue* chips = st.find("chips");
+  const Value* chips = st.find("chips");
   std::printf("\n%-4s %-10s %-12s %8s %12s %12s %6s\n", "id", "chip", "job",
               "health", "density", "trend/ep", "wear");
   if (chips)
-    for (const JsonValue& c : chips->items) {
+    for (const Value& c : chips->items) {
       const std::string job = c.text("job");
       std::printf("%-4zu %-10s %-12s %8.3f %12.5f %12.5f %6zu\n",
                   static_cast<std::size_t>(c.num("id")),
@@ -294,12 +135,12 @@ void render(const JsonValue& st) {
                   static_cast<std::size_t>(c.num("wear_rounds")));
     }
 
-  const JsonValue* jobs = st.find("jobs");
+  const Value* jobs = st.find("jobs");
   std::printf("\n%-12s %-10s %-10s %-10s %9s %6s %5s %9s %8s\n", "job",
               "model", "policy", "state", "epochs", "slices", "migr",
               "test_acc", "trace_id");
   if (jobs)
-    for (const JsonValue& j : jobs->items) {
+    for (const Value& j : jobs->items) {
       char epochs[32];
       std::snprintf(epochs, sizeof(epochs), "%zu/%zu",
                     static_cast<std::size_t>(j.num("epochs_completed")),
@@ -363,8 +204,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "remapd_top: daemon gone (%s)\n", error.c_str());
       return 0;
     }
-    JsonValue st;
-    if (std::string perr; !JsonParser(body).parse(st, perr)) {
+    Value st;
+    if (std::string perr; !remapd::json::parse(body, &st, &perr)) {
       std::fprintf(stderr, "remapd_top: bad /status payload: %s\n",
                    perr.c_str());
       return 1;
