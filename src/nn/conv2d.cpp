@@ -16,12 +16,13 @@ std::atomic<std::uint64_t> g_conv_scratch_allocs{0};
 
 // Per-thread block panels, shared by every layer and call (workers
 // persist, so they stop growing once the largest block has been seen).
-// t_in holds a block's materialized GEMM B operand (int8 im2col panel,
-// gathered dy), t_out its GEMM output (y panel, dcol panel), t_pad a
-// block's zero-padded images (eval input, or one sample's dx in
-// backward). t_partials holds the calling thread's dW/db partials for one
-// backward wave.
+// t_in holds a block's gathered dy (the dX GEMM's B operand), t_out its
+// GEMM output (y panel, dcol panel), t_pad a block's zero-padded images
+// (eval input, or one sample's dx in backward), t_qpad the int8 path's
+// quantized copy of a block's padded images. t_partials holds the calling
+// thread's dW/db partials for one backward wave.
 thread_local ConvScratch t_in, t_out, t_pad, t_partials;
+thread_local ConvScratchOf<std::uint8_t> t_qpad;
 
 // Eval-mode offset tables, per thread for the same reason as the panels
 // below; rebuilt only when the geometry changes.
@@ -74,16 +75,19 @@ ConvOperand conv_operand(const float* img, const ConvGeom& g,
 
 }  // namespace
 
-float* ConvScratch::ensure(std::size_t n) {
+template <class T>
+T* ConvScratchOf<T>::ensure(std::size_t n) {
   if (buf.size() < n) {
     // Free first, then allocate exactly n: the contents are scratch, and
     // growing in place would copy them and over-allocate, raising peak RSS.
-    buf = std::vector<float>();
+    buf = std::vector<T>();
     buf.resize(n);
     g_conv_scratch_allocs.fetch_add(1, std::memory_order_relaxed);
   }
   return buf.data();
 }
+template struct ConvScratchOf<float>;
+template struct ConvScratchOf<std::uint8_t>;
 
 std::uint64_t conv_scratch_allocations() {
   return g_conv_scratch_allocs.load(std::memory_order_relaxed);
@@ -162,16 +166,18 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   }
 
   // Sample blocks: each block's samples sit side by side as one
-  // cr x (bn*cc) B operand, so one GEMM covers the whole block. The fp32
-  // path packs that operand straight from the zero-padded images through
-  // the offset tables (implicit GEMM); the strips hold exactly the floats
-  // an im2col panel would. Blocks write disjoint y slices, so the loop
-  // parallelizes freely; in compute_packed an output element's
-  // accumulation order depends only on the depth cr, so y is bitwise the
-  // per-sample result at any block size.
+  // cr x (bn*cc) B operand, so one GEMM covers the whole block. Both paths
+  // pack that operand straight from the zero-padded images through the
+  // offset tables (implicit GEMM): the fp32 strips hold exactly the floats
+  // an im2col panel would, the int8 strips exactly its quantized bytes,
+  // with one activation scale per sample. Blocks write disjoint y slices,
+  // so the loop parallelizes freely; an output element's accumulation
+  // depends only on the depth cr (fp32) or is an exact integer sum (int8),
+  // so y is bitwise the per-sample result at any block size.
   const std::size_t bs = sample_block(n, cc);
   const std::size_t psz = g.padded_size();
   const ConvOffsets& offs = offsets_for(train ? offsets_ : t_eval_offsets, g);
+  const bool dense = g.reads_every_pixel();
   float* train_padded = train ? last_padded_.ensure(n * psz) : nullptr;
   parallel_for_blocks(0, n, bs,
                       [&](std::size_t s0, std::size_t s1, std::size_t) {
@@ -179,30 +185,30 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     // A one-sample panel already has y's layout: write it in place.
     float* yp = s1 - s0 == 1 ? y.data() + s0 * out_ch_ * cc
                              : t_out.ensure(out_ch_ * ld);
-    // Training keeps the padded input for dW, on either path.
-    float* padded = nullptr;
-    if (train || !int8) {
-      padded = train ? train_padded + s0 * psz
-                     : t_pad.ensure((s1 - s0) * psz);
-      for (std::size_t i = s0; i < s1; ++i)
-        pad_image(x.data() + i * in_plane, g, padded + (i - s0) * psz);
-    }
+    // Training keeps the padded input for dW.
+    float* padded =
+        train ? train_padded + s0 * psz : t_pad.ensure((s1 - s0) * psz);
+    for (std::size_t i = s0; i < s1; ++i)
+      pad_image(x.data() + i * in_plane, g, padded + (i - s0) * psz);
     if (int8) {
-      // The activation scale is per call and taken over the im2col panel
-      // (a strided 1x1 conv reads only part of the image), so the int8
-      // GEMM stays per sample over a materialized panel. Non-finite
-      // activations take the fp32 route so divergence is never clamped
-      // away by quantization.
-      float* cols = t_in.ensure(cr * ld);
-      for (std::size_t i = s0; i < s1; ++i)
-        im2col(x.data() + i * in_plane, g, cols + (i - s0) * cc, ld);
-      for (std::size_t i = s0; i < s1; ++i) {
-        const float* col = cols + (i - s0) * cc;
-        float* yi = yp + (i - s0) * cc;
-        if (!wi8.multiply(cc, StridedOperand{col, ld, 1}, yi, ld)) {
-          telemetry::count("nn.conv.int8_fallbacks");
-          gemm(false, false, out_ch_, cc, cr, 1.0f, we.data(), cr, col, ld,
-               0.0f, yi, ld);
+      std::uint8_t* bytes = t_qpad.ensure((s1 - s0) * psz);
+      if (!wi8.multiply(ld,
+                        Int8ConvOperand{conv_operand(padded, g, offs, false),
+                                        dense, bytes},
+                        yp, ld)) {
+        // A sample with non-finite activations refused the block. Rerun
+        // it per sample: the finite samples stay int8 (bitwise the block
+        // result), each refusing one takes the fp32 route alone, so
+        // divergence is never clamped away by quantization.
+        for (std::size_t i = s0; i < s1; ++i) {
+          const ConvOperand one = conv_operand(padded + (i - s0) * psz, g,
+                                               offs, false);
+          float* yi = yp + (i - s0) * cc;
+          if (!wi8.multiply(cc, Int8ConvOperand{one, dense, bytes}, yi, ld)) {
+            telemetry::count("nn.conv.int8_fallbacks");
+            gemm(false, out_ch_, cc, cr, 1.0f, we.data(), cr, one, 0.0f, yi,
+                 ld);
+          }
         }
       }
     } else {
@@ -265,7 +271,22 @@ Tensor Conv2d::backward(const Tensor& dy) {
                       [&](std::size_t s0, std::size_t s1, std::size_t) {
     const std::size_t ld = (s1 - s0) * cc;
     float* dcol = t_out.ensure(cr * ld);
-    if (int8) {
+    // A one-sample block's dy slice already is the panel.
+    const float* dyp = dy.data() + s0 * out_plane;
+    if (s1 - s0 > 1) {
+      float* gathered = t_in.ensure(out_ch_ * ld);
+      for (std::size_t i = s0; i < s1; ++i)
+        for (std::size_t o = 0; o < out_ch_; ++o)
+          std::memcpy(gathered + o * ld + (i - s0) * cc,
+                      dy.data() + i * out_plane + o * cc, cc * sizeof(float));
+      dyp = gathered;
+    }
+    if (!int8) {
+      bwd_pack_.multiply(ld, dyp, ld, 0.0f, dcol, ld);
+    } else if (!bwd_i8_.multiply(ld, StridedOperand{dyp, ld, 1}, dcol, ld,
+                                 cc)) {
+      // One activation scale per sample; a refused block reruns per
+      // sample, as the forward does.
       for (std::size_t i = s0; i < s1; ++i) {
         const float* dyi = dy.data() + i * out_plane;
         float* dci = dcol + (i - s0) * cc;
@@ -275,19 +296,6 @@ Tensor Conv2d::backward(const Tensor& dy) {
                0.0f, dci, ld);
         }
       }
-    } else {
-      // A one-sample block's dy slice already is the panel.
-      const float* dyp = dy.data() + s0 * out_plane;
-      if (s1 - s0 > 1) {
-        float* gathered = t_in.ensure(out_ch_ * ld);
-        for (std::size_t i = s0; i < s1; ++i)
-          for (std::size_t o = 0; o < out_ch_; ++o)
-            std::memcpy(gathered + o * ld + (i - s0) * cc,
-                        dy.data() + i * out_plane + o * cc,
-                        cc * sizeof(float));
-        dyp = gathered;
-      }
-      bwd_pack_.multiply(ld, dyp, ld, 0.0f, dcol, ld);
     }
     float* pdx = t_pad.ensure(psz);
     for (std::size_t i = s0; i < s1; ++i) {

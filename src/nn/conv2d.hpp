@@ -1,5 +1,6 @@
-// 2-D convolution lowered to GEMM via im2col — mirroring how an RCS unrolls
-// a convolution onto crossbar MVMs. Forward uses the forward FaultView's
+// 2-D convolution lowered to GEMM over its im2col matrix — mirroring how an
+// RCS unrolls a convolution onto crossbar MVMs. The matrix is read in place
+// from zero-padded images (implicit GEMM), never materialized. Forward uses the forward FaultView's
 // effective weights; input-gradient propagation uses the backward
 // FaultView's (the physically distinct W^T crossbars).
 #pragma once
@@ -15,18 +16,20 @@
 
 namespace remapd {
 
-/// Grow-only float buffer for conv scratch panels. ensure() reallocates
-/// only when a larger size is asked for, and counts each growth in
-/// conv_scratch_allocations().
-struct ConvScratch {
-  std::vector<float> buf;
-  float* ensure(std::size_t n);
+/// Grow-only buffer for conv scratch panels (fp32, or the int8 path's
+/// quantized images). ensure() reallocates only when a larger size is
+/// asked for, and counts each growth in conv_scratch_allocations().
+template <class T>
+struct ConvScratchOf {
+  std::vector<T> buf;
+  T* ensure(std::size_t n);
 };
+using ConvScratch = ConvScratchOf<float>;
 
 /// Process-wide count of conv scratch growths (heap allocations): the
-/// thread-local block panels, padded images, offset tables and dW/db
-/// partials, plus each layer's padded training input and offset tables.
-/// Repeated training steps of one shape leave it flat.
+/// thread-local block panels, padded and quantized images, offset tables
+/// and dW/db partials, plus each layer's padded training input and offset
+/// tables. Repeated training steps of one shape leave it flat.
 std::uint64_t conv_scratch_allocations();
 
 class Conv2d final : public Layer, public FaultableLayer {
@@ -84,8 +87,9 @@ class Conv2d final : public Layer, public FaultableLayer {
 
   // Saved for backward: the batch's input, zero-padded, one
   // ConvGeom::padded_size() image per sample, and the offset tables that
-  // read its im2col matrix in place (the fp32 forward and dW never
-  // materialize the panel; DESIGN §13, "Implicit-GEMM convolution").
+  // read its im2col matrix in place (forward and dW never materialize the
+  // panel; DESIGN §13, "Implicit-GEMM convolution" and "Implicit int8
+  // convolution").
   ConvScratch last_padded_;
   ConvOffsets offsets_;
   ConvGeom last_geom_{};

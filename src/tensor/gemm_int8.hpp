@@ -4,7 +4,8 @@
 // Shape of the trick: a layer mapped onto b-bit cells stores weights on a
 // (2^b)-level grid spanning [-w_max, +w_max], i.e. every weight is an
 // exact small signed integer times w_max/(2^b - 1). Activations are
-// quantized per call with a dynamic symmetric scale (max|x| / 127). The
+// quantized per call with a dynamic symmetric scale (max|x| / 127), one
+// per column segment (a conv block has one segment per sample). The
 // product is then an exact int32 dot — integer accumulation has no
 // rounding and no order sensitivity, so every kernel path and every
 // REMAPD_THREADS value produces bit-identical int32 sums, and the single
@@ -43,6 +44,23 @@ namespace remapd {
 /// AVX2 maddubs path; see header comment). pack() clamps to this.
 inline constexpr int kInt8AMax = 63;
 
+/// The int8 B operand of a block of conv samples (implicit GEMM): the
+/// samples' zero-padded fp32 images read through `conv` (untransposed,
+/// n = samples * conv.cols columns). multiply() quantizes each sample's
+/// whole padded image once into `bytes` (samples * conv.sample_stride
+/// bytes of caller scratch; a zero pad becomes 128) and gathers the
+/// packed strips from those bytes through the offset tables.
+/// Quantization is elementwise, so this writes the strips a quantized
+/// im2col panel would. Each sample's scale is the max |x| over the
+/// positions its panel reads: with `reads_every_pixel`
+/// (ConvGeom::reads_every_pixel()) that is the whole image, otherwise
+/// it is scanned through the offsets.
+struct Int8ConvOperand {
+  ConvOperand conv;
+  bool reads_every_pixel;
+  std::uint8_t* bytes;
+};
+
 /// Reusable packed quantized-A panels, mirroring GemmAPack: quantize and
 /// pack the (effective-weight) matrix once per layer call, then run many
 /// C_i = dequant(Aq * Bq_i) multiplies. Packed panels are immutable after
@@ -57,11 +75,21 @@ class Int8APack {
 
   /// C = dequant(packed_A * quant(B)); op(B) is k x n, C row-major m x n
   /// with leading dimension ldc, overwritten (beta = 0 semantics). B is
-  /// quantized per call with scale max|B| / 127. If B contains non-finite
-  /// values the caller's fp32 path should be used instead; returns false
-  /// in that case without touching C.
+  /// quantized per call, one scale max|B_seg| / 127 per column segment:
+  /// columns [t * segment, (t + 1) * segment) form segment t (the last
+  /// one may be narrower), and segment = 0 means one segment of all n
+  /// columns. Each segment's result is bitwise that of a multiply() over
+  /// its columns alone. If any segment contains non-finite values the
+  /// caller's fp32 path should be used instead; returns false in that
+  /// case without touching C.
   [[nodiscard]] bool multiply(std::size_t n, StridedOperand b, float* c,
-                              std::size_t ldc) const;
+                              std::size_t ldc, std::size_t segment = 0) const;
+  /// The same product with op(B) the untransposed im2col matrix of a
+  /// block of samples (see Int8ConvOperand), one segment per sample: each
+  /// sample's columns are bitwise those of a StridedOperand multiply()
+  /// over its materialized im2col panel.
+  [[nodiscard]] bool multiply(std::size_t n, const Int8ConvOperand& b,
+                              float* c, std::size_t ldc) const;
 
   [[nodiscard]] std::size_t rows() const { return m_; }
   [[nodiscard]] std::size_t depth() const { return k_; }

@@ -22,13 +22,6 @@ LoweringTelemetry& im2col_telemetry() {
   return t;
 }
 
-LoweringTelemetry& col2im_telemetry() {
-  auto& reg = telemetry::Registry::instance();
-  static LoweringTelemetry t{reg.counter("tensor.col2im.calls"),
-                             reg.histogram("tensor.col2im.ns")};
-  return t;
-}
-
 }  // namespace
 
 void im2col(const float* img, const ConvGeom& g, float* col,
@@ -83,33 +76,20 @@ void im2col(const float* img, const ConvGeom& g, float* col,
   }
 }
 
-void col2im(const float* col, const ConvGeom& g, float* img,
-            std::size_t ld) {
-  LoweringTelemetry& telem = col2im_telemetry();
-  telemetry::KernelTimer timer(telem.calls, telem.ns);
-  const std::size_t oh = g.out_h(), ow = g.out_w();
-  if (ld == 0) ld = oh * ow;
-  std::size_t row = 0;
-  for (std::size_t c = 0; c < g.channels; ++c) {
-    for (std::size_t kh = 0; kh < g.kernel_h; ++kh) {
-      for (std::size_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-        const float* src = col + row * ld;
-        for (std::size_t y = 0; y < oh; ++y) {
-          const long iy = static_cast<long>(y * g.stride + kh) -
-                          static_cast<long>(g.pad);
-          if (iy < 0 || iy >= static_cast<long>(g.height)) continue;
-          float* dst =
-              img + (c * g.height + static_cast<std::size_t>(iy)) * g.width;
-          for (std::size_t x = 0; x < ow; ++x) {
-            const long ix = static_cast<long>(x * g.stride + kw) -
-                            static_cast<long>(g.pad);
-            if (ix < 0 || ix >= static_cast<long>(g.width)) continue;
-            dst[static_cast<std::size_t>(ix)] += src[y * ow + x];
-          }
-        }
-      }
+bool ConvGeom::reads_every_pixel() const {
+  // Walk the windows in padded coordinates, where the interior spans
+  // [pad, pad + in): `next` is the first interior index no window has
+  // read yet.
+  const auto covers = [this](std::size_t in, std::size_t k,
+                             std::size_t out) {
+    std::size_t next = pad;
+    for (std::size_t o = 0; o < out && next < pad + in; ++o) {
+      if (o * stride > next) return false;
+      next = std::max(next, o * stride + k);
     }
-  }
+    return next >= pad + in;
+  };
+  return covers(height, kernel_h, out_h()) && covers(width, kernel_w, out_w());
 }
 
 bool ConvOffsets::build(const ConvGeom& g) {

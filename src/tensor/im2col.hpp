@@ -1,6 +1,9 @@
-// im2col / col2im lowering for convolution. Conv2d forward becomes a GEMM of
-// the (C_out x C_in*KH*KW) filter matrix against the im2col buffer — the same
+// im2col lowering for convolution. Conv2d forward becomes a GEMM of the
+// (C_out x C_in*KH*KW) filter matrix against the im2col matrix — the same
 // lowering an RCS performs when a convolution is unrolled onto crossbars.
+// Conv2d reads that matrix in place from zero-padded images through
+// ConvOffsets (implicit GEMM, fp32 and int8 alike); im2col() itself, which
+// materializes it, remains as the reference for tests and benchmarks.
 #pragma once
 
 #include <cstddef>
@@ -35,6 +38,11 @@ struct ConvGeom {
     return channels * padded_h() * padded_w();
   }
 
+  /// True iff the im2col matrix reads every input pixel (the pads aside):
+  /// along each axis the kernel windows leave no gap before the last
+  /// row/column. A 1x1 stride-2 shortcut reads only a strided subset.
+  [[nodiscard]] bool reads_every_pixel() const;
+
   bool operator==(const ConvGeom&) const = default;
 };
 
@@ -61,22 +69,19 @@ void crop_image(const float* padded, const ConvGeom& g, float* img);
 /// Expand one image (C,H,W row-major) into `col`, a col_rows x col_cols
 /// matrix whose rows are `ld` floats apart. `ld` = 0 means col_cols() (a
 /// dense matrix); a larger `ld` lets several samples share one panel, each
-/// in its own column range (the sample-blocked conv layout).
+/// in its own column range (the sample-blocked conv layout). This is the
+/// materialized operand the implicit conv paths must match bitwise; no
+/// src/ code calls it.
 void im2col(const float* img, const ConvGeom& g, float* col,
             std::size_t ld = 0);
 
-/// Inverse scatter-add: accumulate `col` (rows `ld` floats apart, 0 =
-/// col_cols()) back into `img` (must be zeroed by the caller when a fresh
-/// gradient is wanted). The bounds-checked reference for
-/// col2im_padded.
-void col2im(const float* col, const ConvGeom& g, float* img,
-            std::size_t ld = 0);
-
-/// col2im into a zero-padded image through the offsets `o` (built for
-/// `o.geom`): no bounds checks, the adds that land in the border are
-/// simply never read back. Every interior element receives the same adds
-/// in the same (c, kh, kw) order as col2im, so after crop_image the result
-/// is bitwise col2im's.
+/// The adjoint of im2col: scatter-add `col` (rows `ld` floats apart, 0 =
+/// col_cols()) into a zero-padded image through the offsets `o` (built
+/// for `o.geom`). No bounds checks: the adds that land in the border are
+/// simply never read back. Every interior element receives its adds in
+/// (c, kh, kw) row order, as a bounds-checked scatter into the unpadded
+/// image would (the tests keep one as the reference), so after
+/// crop_image the result is bitwise that scatter's.
 void col2im_padded(const float* col, const ConvOffsets& o, float* padded,
                    std::size_t ld = 0);
 

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <vector>
 
+#include "conv_reference.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/tensor.hpp"
 
@@ -23,6 +24,41 @@ TEST(ConvGeom, OutputDims) {
   ConvGeom one{4, 5, 5, 1, 1, 1, 0};
   EXPECT_EQ(one.out_h(), 5u);
   EXPECT_EQ(one.col_rows(), 4u);
+}
+
+TEST(ConvGeom, ReadsEveryPixelMatchesBruteForce) {
+  // The int8 conv path scans a whole image for its activation scale only
+  // when this says the im2col matrix reads every pixel; otherwise an
+  // unread pixel could set the scale. Check it against the read set.
+  std::size_t dense = 0, sparse = 0;
+  for (std::size_t h = 1; h <= 9; ++h)
+    for (std::size_t w = 1; w <= 9; w += 2)
+      for (std::size_t k = 1; k <= 5; ++k)
+        for (std::size_t s = 1; s <= 3; ++s)
+          for (std::size_t p = 0; p <= 2; ++p) {
+            if (k > h + 2 * p || k > w + 2 * p) continue;
+            const ConvGeom g{2, h, w, k, k, s, p};
+            ConvOffsets o;
+            o.build(g);
+            std::vector<bool> read(g.padded_size(), false);
+            for (const std::int32_t r : o.row_off)
+              for (const std::int32_t q : o.col_off) read[r + q] = true;
+            bool all = true;
+            for (std::size_t c = 0; c < g.channels; ++c)
+              for (std::size_t y = 0; y < h; ++y)
+                for (std::size_t x = 0; x < w; ++x)
+                  all = all && read[(c * g.padded_h() + y + p) *
+                                        g.padded_w() +
+                                    x + p];
+            EXPECT_EQ(g.reads_every_pixel(), all)
+                << h << "x" << w << " k=" << k << " s=" << s << " p=" << p;
+            ++(all ? dense : sparse);
+          }
+  EXPECT_GT(dense, 0u);
+  EXPECT_GT(sparse, 0u);
+  EXPECT_TRUE((ConvGeom{8, 8, 8, 3, 3, 1, 1}.reads_every_pixel()));
+  EXPECT_TRUE((ConvGeom{8, 8, 8, 3, 3, 2, 1}.reads_every_pixel()));
+  EXPECT_FALSE((ConvGeom{8, 8, 8, 1, 1, 2, 0}.reads_every_pixel()));
 }
 
 /// Reference: direct gather per output position.

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bist/controller.hpp"
+#include "conv_reference.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/fault_view.hpp"
@@ -26,6 +27,7 @@
 #include "tensor/gemm_int8.hpp"
 #include "tensor/im2col.hpp"
 #include "trainer/fault_aware_trainer.hpp"
+#include "trainer/scenarios.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "xbar/fault_model.hpp"
@@ -335,32 +337,92 @@ const std::vector<ConvCase>& blocking_cases() {
   return cases;
 }
 
+/// A 16-level int8 view (w_max = 1) and weights on its level grid, so the
+/// int8 path's weight quantization is exact.
+FaultView int8_view() {
+  FaultView view;
+  view.levels = 16;
+  view.w_max = 1.0f;
+  view.int8_path = true;
+  return view;
+}
+
+Tensor level_grid_weights(const Shape& shape, float scale, Rng& rng) {
+  Tensor w(shape);
+  for (std::size_t e = 0; e < w.numel(); ++e)
+    w[e] = static_cast<float>(static_cast<int>(rng.uniform() * 15) - 7) *
+           scale;
+  return w;
+}
+
 TEST(ParallelConvBlocking, MatchesPerSampleReferenceBitwise) {
-  for (const ConvCase& k : blocking_cases()) {
-    for (const std::size_t n : {std::size_t{1}, std::size_t{5},
-                                std::size_t{32}, std::size_t{64}}) {
-      Rng rng(k.height * 100 + k.stride * 10 + k.kernel + n);
-      const Tensor w =
-          Tensor::randn(Shape{k.out_ch, k.in_ch * k.kernel * k.kernel}, rng);
-      const Tensor bias = Tensor::randn(Shape{k.out_ch}, rng);
-      const Tensor x =
-          Tensor::randn(Shape{n, k.in_ch, k.height, k.width}, rng);
-      const ConvGeom g{k.in_ch, k.height, k.width, k.kernel, k.kernel,
-                       k.stride, k.pad};
-      const Tensor dy =
-          Tensor::randn(Shape{n, k.out_ch, g.out_h(), g.out_w()}, rng);
-      const ConvResult want = reference_conv(k, w, bias, x, dy, 0.0f);
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        const std::string what = "k=" + std::to_string(k.kernel) +
-                                 " s=" + std::to_string(k.stride) +
-                                 " " + std::to_string(k.height) +
-                                 "px n=" + std::to_string(n) +
-                                 " threads=" + std::to_string(threads);
-        expect_bitwise(blocked_conv(k, w, bias, x, dy, nullptr, threads),
-                       want, what);
+  // fp32 and int8 (level-grid weights, one activation scale per sample)
+  // against the per-sample lowering.
+  const FaultView view = int8_view();
+  const float scale = view.int8_weight_scale();
+  for (const bool int8 : {false, true}) {
+    for (const ConvCase& k : blocking_cases()) {
+      for (const std::size_t n : {std::size_t{1}, std::size_t{5},
+                                  std::size_t{32}, std::size_t{64}}) {
+        Rng rng(k.height * 100 + k.stride * 10 + k.kernel + n);
+        const Shape wshape{k.out_ch, k.in_ch * k.kernel * k.kernel};
+        const Tensor w = int8 ? level_grid_weights(wshape, scale, rng)
+                              : Tensor::randn(wshape, rng);
+        const Tensor bias = Tensor::randn(Shape{k.out_ch}, rng);
+        const Tensor x =
+            Tensor::randn(Shape{n, k.in_ch, k.height, k.width}, rng);
+        const ConvGeom g{k.in_ch, k.height, k.width, k.kernel, k.kernel,
+                         k.stride, k.pad};
+        const Tensor dy =
+            Tensor::randn(Shape{n, k.out_ch, g.out_h(), g.out_w()}, rng);
+        const ConvResult want =
+            reference_conv(k, w, bias, x, dy, int8 ? scale : 0.0f);
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+          const std::string what = std::string(int8 ? "int8" : "fp32") +
+                                   " k=" + std::to_string(k.kernel) +
+                                   " s=" + std::to_string(k.stride) +
+                                   " " + std::to_string(k.height) +
+                                   "px n=" + std::to_string(n) +
+                                   " threads=" + std::to_string(threads);
+          expect_bitwise(
+              blocked_conv(k, w, bias, x, dy, int8 ? &view : nullptr, threads),
+              want, what);
+        }
       }
     }
   }
+}
+
+TEST(ParallelConvBlocking, Int8ScaleIsTakenOverThePixelsThePanelReads) {
+  // A 1x1 stride-2 shortcut never reads odd rows/columns. A huge or NaN
+  // value there must neither set a sample's activation scale nor push it
+  // to the fp32 route: the result stays bitwise the per-sample panel
+  // product, with no fallback.
+  const ConvCase k{4, 7, 1, 2, 0, 8, 8};
+  const std::size_t n = 6;
+  Rng rng(37);
+  const FaultView view = int8_view();
+  const float scale = view.int8_weight_scale();
+  const Tensor w =
+      level_grid_weights(Shape{k.out_ch, k.in_ch}, scale, rng);
+  const Tensor bias = Tensor::randn(Shape{k.out_ch}, rng);
+  Tensor x = Tensor::randn(Shape{n, k.in_ch, k.height, k.width}, rng);
+  const Tensor dy = Tensor::randn(Shape{n, k.out_ch, 4, 4}, rng);
+  const std::size_t plane = k.in_ch * k.height * k.width;
+  x[1 * plane + 1 * k.width + 3] = 1e30f;  // row 1: never read
+  x[4 * plane + 2 * k.width + 5] = std::numeric_limits<float>::quiet_NaN();
+  const ConvResult want = reference_conv(k, w, bias, x, dy, scale);
+
+  telemetry::set_enabled(true);
+  telemetry::Counter& fallbacks =
+      telemetry::Registry::instance().counter("nn.conv.int8_fallbacks");
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const std::uint64_t before = fallbacks.value();
+    expect_bitwise(blocked_conv(k, w, bias, x, dy, &view, threads), want,
+                   "threads=" + std::to_string(threads));
+    EXPECT_EQ(fallbacks.value(), before);
+  }
+  telemetry::set_enabled(false);
 }
 
 TEST(ParallelConvBlocking, Int8NonFiniteSampleFallsBackAlone) {
@@ -415,24 +477,29 @@ TEST(ParallelConvBlocking, SteadyStateTrainingDoesNotGrowScratch) {
   Conv2d stem(3, 8, 3, 1, 1, rng);
   Conv2d deep(8, 16, 3, 2, 1, rng);  // 4x4 -> 2x2: multi-sample blocks
   Conv2d shortcut(8, 16, 1, 2, 0, rng);  // 1x1, no pad
+  Conv2d quant(8, 16, 3, 2, 1, rng);  // the int8 path's quantized images
+  quant.set_fault_views(int8_view(), int8_view());
   const Tensor x = Tensor::randn(Shape{32, 3, 4, 4}, rng);
   const auto step = [&] {
     const Tensor h = stem.forward(x, /*train=*/true);
     const Tensor y = deep.forward(h, /*train=*/true);
     const Tensor z = shortcut.forward(h, /*train=*/true);
+    const Tensor q = quant.forward(h, /*train=*/true);
     Tensor dh = deep.backward(y);
     const Tensor dz = shortcut.backward(z);
-    for (std::size_t e = 0; e < dh.numel(); ++e) dh[e] += dz[e];
+    const Tensor dq = quant.backward(q);
+    for (std::size_t e = 0; e < dh.numel(); ++e) dh[e] += dz[e] + dq[e];
     stem.backward(dh);
     const Tensor he = stem.forward(x, /*train=*/false);
     deep.forward(he, /*train=*/false);
     shortcut.forward(he, /*train=*/false);
+    quant.forward(he, /*train=*/false);
   };
   const std::uint64_t before = conv_scratch_allocations();
   step();  // warm the arenas
   const std::uint64_t warm = conv_scratch_allocations();
   const std::uint64_t warm_gemm = gemm_scratch_allocations();
-  EXPECT_GE(warm - before, 6u)
+  EXPECT_GE(warm - before, 8u)
       << "each layer's padded input and offset tables count as growths";
   for (int i = 0; i < 5; ++i) step();
   EXPECT_EQ(conv_scratch_allocations(), warm)
@@ -486,12 +553,15 @@ TEST(ParallelDeterminism, BistSurveyBitwise) {
 TEST(ParallelDeterminismSlow, TrainerBitwise) {
   // resnet12 adds the residual topology: stride-2 3x3 convs, 1x1
   // shortcuts and 2x2 outputs whose GEMM strips span several samples.
-  for (const char* model : {"vgg11", "resnet12"}) {
-    SCOPED_TRACE(model);
-    const auto run = [model](std::size_t threads) {
+  // resnet12-int8 is the int8 workload: 4-bit cells on the int8 path,
+  // SAF plus transient upsets, verify-and-refresh.
+  for (const char* name : {"vgg11", "resnet12", "resnet12-int8"}) {
+    SCOPED_TRACE(name);
+    const std::string variant = name;
+    const auto run = [&variant](std::size_t threads) {
       ThreadGuard guard(threads);
       TrainerConfig cfg;
-      cfg.model = model;
+      cfg.model = variant == "vgg11" ? "vgg11" : "resnet12";
       cfg.epochs = 2;
       cfg.batch_size = 16;
       cfg.data.train = 48;
@@ -499,6 +569,13 @@ TEST(ParallelDeterminismSlow, TrainerBitwise) {
       cfg.data.image_size = 12;
       cfg.policy = "remap-d";
       cfg.faults = FaultScenario::paper_default();
+      if (variant == "resnet12-int8") {
+        cfg.policy = "refresh";
+        cfg.quant.enabled = true;
+        cfg.quant.cell_bits = 4;
+        cfg.quant.int8_gemm = true;
+        apply_fault_model(cfg, "saf+transient");
+      }
       FaultAwareTrainer trainer(cfg);
       const TrainResult r = trainer.run();
       std::vector<std::set<std::pair<std::size_t, std::size_t>>> cells;
@@ -519,6 +596,10 @@ TEST(ParallelDeterminismSlow, TrainerBitwise) {
       EXPECT_EQ(r1.history[e].remaps, r4.history[e].remaps) << e;
       EXPECT_EQ(r1.history[e].total_faults, r4.history[e].total_faults) << e;
       EXPECT_EQ(r1.history[e].new_faults, r4.history[e].new_faults) << e;
+      EXPECT_EQ(r1.history[e].new_upsets, r4.history[e].new_upsets) << e;
+      EXPECT_EQ(r1.history[e].live_upsets, r4.history[e].live_upsets) << e;
+      EXPECT_EQ(r1.history[e].refreshed_cells, r4.history[e].refreshed_cells)
+          << e;
     }
     EXPECT_EQ(r1.final_test_accuracy, r4.final_test_accuracy);
     EXPECT_EQ(r1.total_remaps, r4.total_remaps);

@@ -6,10 +6,13 @@
 // live-migrates without perturbing a single bit of its history.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,8 @@
 #include "quant/quant.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tensor/gemm_int8.hpp"
+#include "tensor/gemm_int8_testing.hpp"
+#include "tensor/im2col.hpp"
 #include "trainer/fault_aware_trainer.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -283,42 +288,68 @@ int ref_quant(float x, float inv, int qmax) {
   return static_cast<int>(t + (t >= 0.0f ? 0.5f : -0.5f));
 }
 
+/// Runs `body` once under every int8 kernel variant this CPU runs (the
+/// portable one always), then restores the dispatched variant.
+template <class Body>
+void for_each_int8_kernel(Body&& body) {
+  struct Restore {
+    std::string name = int8_kernel_name();
+    ~Restore() { int8_testing::force_kernel(name); }
+  } restore;
+  const std::vector<std::string> kernels = int8_testing::supported_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(kernels.front(), "portable");
+  EXPECT_EQ(kernels.back(), restore.name) << "dispatch picks the best";
+  for (const std::string& name : kernels) {
+    SCOPED_TRACE("int8 kernel " + name);
+    int8_testing::force_kernel(name);
+    ASSERT_EQ(std::string(int8_kernel_name()), name);
+    body();
+  }
+}
+
+TEST(Int8Gemm, KernelOverrideRejectsUnknownVariants) {
+  EXPECT_THROW(int8_testing::force_kernel("avx9000"), std::invalid_argument);
+}
+
 TEST(Int8Gemm, MatchesIntegerReferenceBitwise) {
   ThreadGuard guard(1);
-  for (const auto& [m, k, n] : {std::tuple<std::size_t, std::size_t,
-                                          std::size_t>{5, 7, 9},
-                               {64, 64, 64},
-                               {17, 33, 16}}) {
-    Rng rng(m * 100 + k * 10 + n);
-    std::vector<float> a(m * k), b(k * n), c(m * n, -1.0f);
-    for (float& v : a) v = static_cast<float>(rng.uniform() * 2.0 - 1.0);
-    for (float& v : b) v = static_cast<float>(rng.uniform() * 2.0 - 1.0);
-    const float a_scale = 1.0f / 15.0f;
+  for_each_int8_kernel([] {
+    for (const auto& [m, k, n] : {std::tuple<std::size_t, std::size_t,
+                                            std::size_t>{5, 7, 9},
+                                 {64, 64, 64},
+                                 {17, 33, 16}}) {
+      Rng rng(m * 100 + k * 10 + n);
+      std::vector<float> a(m * k), b(k * n), c(m * n, -1.0f);
+      for (float& v : a) v = static_cast<float>(rng.uniform() * 2.0 - 1.0);
+      for (float& v : b) v = static_cast<float>(rng.uniform() * 2.0 - 1.0);
+      const float a_scale = 1.0f / 15.0f;
 
-    Int8APack pack;
-    pack.pack(m, k, StridedOperand{a.data(), k, 1}, a_scale);
-    ASSERT_TRUE(pack.multiply(n, StridedOperand{b.data(), n, 1}, c.data(),
-                              n));
+      Int8APack pack;
+      pack.pack(m, k, StridedOperand{a.data(), k, 1}, a_scale);
+      ASSERT_TRUE(pack.multiply(n, StridedOperand{b.data(), n, 1}, c.data(),
+                                n));
 
-    // Reference: same quantization rules, exact int32 accumulation.
-    float maxabs = 0.0f;
-    for (const float v : b) maxabs = std::max(maxabs, std::fabs(v));
-    const float binv = maxabs > 0.0f ? 127.0f / maxabs : 0.0f;
-    const float b_scale = maxabs > 0.0f ? maxabs / 127.0f : 0.0f;
-    const float scale = a_scale * b_scale;
-    const float ainv = 1.0f / a_scale;
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        std::int32_t acc = 0;
-        for (std::size_t kk = 0; kk < k; ++kk)
-          acc += ref_quant(a[i * k + kk], ainv, kInt8AMax) *
-                 ref_quant(b[kk * n + j], binv, 127);
-        const float expect = static_cast<float>(acc) * scale;
-        ASSERT_EQ(c[i * n + j], expect)
-            << m << "x" << k << "x" << n << " at (" << i << "," << j << ")";
+      // Reference: same quantization rules, exact int32 accumulation.
+      float maxabs = 0.0f;
+      for (const float v : b) maxabs = std::max(maxabs, std::fabs(v));
+      const float binv = maxabs > 0.0f ? 127.0f / maxabs : 0.0f;
+      const float b_scale = maxabs > 0.0f ? maxabs / 127.0f : 0.0f;
+      const float scale = a_scale * b_scale;
+      const float ainv = 1.0f / a_scale;
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          std::int32_t acc = 0;
+          for (std::size_t kk = 0; kk < k; ++kk)
+            acc += ref_quant(a[i * k + kk], ainv, kInt8AMax) *
+                   ref_quant(b[kk * n + j], binv, 127);
+          const float expect = static_cast<float>(acc) * scale;
+          ASSERT_EQ(c[i * n + j], expect)
+              << m << "x" << k << "x" << n << " at (" << i << "," << j << ")";
+        }
       }
     }
-  }
+  });
 }
 
 TEST(Int8Gemm, ThreadCountDoesNotChangeOneBit) {
@@ -346,7 +377,7 @@ TEST(Int8Gemm, ThreadCountDoesNotChangeOneBit) {
 TEST(Int8Gemm, StridedOperandsMatchContiguousBitwise) {
   // The AVX2 packers only run on contiguous operands; strided views of the
   // same logical matrices take the scalar path and must produce identical
-  // bytes — the mixed-path determinism contract.
+  // bytes — the mixed-path determinism contract — under every kernel.
   ThreadGuard guard(1);
   const std::size_t m = 37, k = 45, n = 19;
   Rng rng(11);
@@ -359,15 +390,157 @@ TEST(Int8Gemm, StridedOperandsMatchContiguousBitwise) {
   for (std::size_t kk = 0; kk < k; ++kk)
     for (std::size_t j = 0; j < n; ++j) bt[j * k + kk] = b[kk * n + j];
 
-  Int8APack pc, ps;
-  pc.pack(m, k, StridedOperand{a.data(), k, 1}, 0.1f);
-  ps.pack(m, k, StridedOperand{at.data(), 1, m}, 0.1f);
-  std::vector<float> c1(m * n), c2(m * n), c3(m * n);
-  ASSERT_TRUE(pc.multiply(n, StridedOperand{b.data(), n, 1}, c1.data(), n));
-  ASSERT_TRUE(pc.multiply(n, StridedOperand{bt.data(), 1, k}, c2.data(), n));
-  ASSERT_TRUE(ps.multiply(n, StridedOperand{b.data(), n, 1}, c3.data(), n));
-  EXPECT_EQ(std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(float)), 0);
-  EXPECT_EQ(std::memcmp(c1.data(), c3.data(), c1.size() * sizeof(float)), 0);
+  std::vector<float> first;
+  for_each_int8_kernel([&] {
+    Int8APack pc, ps;
+    pc.pack(m, k, StridedOperand{a.data(), k, 1}, 0.1f);
+    ps.pack(m, k, StridedOperand{at.data(), 1, m}, 0.1f);
+    std::vector<float> c1(m * n), c2(m * n), c3(m * n);
+    ASSERT_TRUE(pc.multiply(n, StridedOperand{b.data(), n, 1}, c1.data(), n));
+    ASSERT_TRUE(pc.multiply(n, StridedOperand{bt.data(), 1, k}, c2.data(), n));
+    ASSERT_TRUE(ps.multiply(n, StridedOperand{b.data(), n, 1}, c3.data(), n));
+    EXPECT_EQ(std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(c1.data(), c3.data(), c1.size() * sizeof(float)),
+              0);
+    if (first.empty()) first = c1;
+    EXPECT_EQ(std::memcmp(c1.data(), first.data(), c1.size() * sizeof(float)),
+              0)
+        << "every kernel variant gives the same bytes";
+  });
+}
+
+TEST(Int8Gemm, SegmentScalesMatchPerSegmentCalls) {
+  // One multiply with a scale per column segment must equal one multiply
+  // per segment, bit for bit: segments spanning whole strips, several per
+  // strip (4-wide, as a 2x2-output conv sample) and straddling strips (9),
+  // magnitudes 1e-3..1e3 and an all-zero segment, a ragged last segment,
+  // contiguous and strided operands, 1 and 4 threads, every kernel.
+  const std::size_t m = 13, k = 37;
+  const float mags[] = {1e-3f, 1e-2f, 1e-1f, 0.0f, 1.0f, 1e1f, 1e2f, 1e3f};
+  const std::size_t segments = std::size(mags);
+  Rng rng(5);
+  std::vector<float> a(m * k);
+  for (float& v : a) v = static_cast<float>(rng.uniform() * 2.0 - 1.0);
+  for (const std::size_t width : {std::size_t{4}, std::size_t{9},
+                                  std::size_t{16}, std::size_t{64}}) {
+    SCOPED_TRACE("segment width " + std::to_string(width));
+    const std::size_t n = segments * width - 1;  // ragged last segment
+    std::vector<float> b(k * n), bt(n * k);
+    for (std::size_t kk = 0; kk < k; ++kk)
+      for (std::size_t j = 0; j < n; ++j) {
+        b[kk * n + j] = mags[j / width] *
+                        static_cast<float>(rng.uniform() * 2.0 - 1.0);
+        bt[j * k + kk] = b[kk * n + j];
+      }
+    std::vector<float> first;
+    for_each_int8_kernel([&] {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        ThreadGuard guard(threads);
+        Int8APack p;
+        p.pack(m, k, StridedOperand{a.data(), k, 1}, 1.0f / 15.0f);
+        std::vector<float> want(m * n), got(m * n), got_t(m * n);
+        for (std::size_t j0 = 0; j0 < n; j0 += width)
+          ASSERT_TRUE(p.multiply(std::min(width, n - j0),
+                                 StridedOperand{b.data() + j0, n, 1},
+                                 want.data() + j0, n));
+        ASSERT_TRUE(p.multiply(n, StridedOperand{b.data(), n, 1}, got.data(),
+                               n, width));
+        ASSERT_TRUE(p.multiply(n, StridedOperand{bt.data(), 1, k},
+                               got_t.data(), n, width));
+        const std::size_t bytes = want.size() * sizeof(float);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), bytes), 0) << threads;
+        EXPECT_EQ(std::memcmp(got_t.data(), want.data(), bytes), 0)
+            << threads;
+        if (first.empty()) first = want;
+        EXPECT_EQ(std::memcmp(want.data(), first.data(), bytes), 0);
+
+        // A NaN or inf in one segment refuses the whole product and leaves
+        // C as it was.
+        for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                                std::numeric_limits<float>::infinity()}) {
+          std::vector<float> poisoned = b;
+          poisoned[(k / 2) * n + 5 * width + 1] = bad;
+          std::vector<float> c(m * n, -7.0f);
+          EXPECT_FALSE(p.multiply(n, StridedOperand{poisoned.data(), n, 1},
+                                  c.data(), n, width));
+          EXPECT_TRUE(std::all_of(c.begin(), c.end(),
+                                  [](float v) { return v == -7.0f; }));
+        }
+      }
+    });
+  }
+}
+
+TEST(Int8Gemm, ConvOperandMatchesPerSampleIm2colBitwise) {
+  // The implicit int8 conv operand (quantize each padded image once,
+  // gather bytes through the offsets) against one multiply per sample
+  // over its materialized im2col panel. Samples differ in magnitude, so
+  // their scales differ; strips span several samples where OH*OW < 16. On
+  // a 1x1 stride-2 layer some pixels are never read: a huge or NaN value
+  // there must not touch the scale, while a NaN that is read refuses the
+  // block and leaves C untouched.
+  const std::size_t samples = 5, out = 6;
+  for (const ConvGeom& g : {ConvGeom{3, 8, 8, 3, 3, 1, 1},
+                            ConvGeom{4, 8, 8, 3, 3, 2, 1},
+                            ConvGeom{4, 8, 8, 1, 1, 2, 0},
+                            ConvGeom{3, 5, 9, 3, 3, 1, 1},
+                            ConvGeom{2, 2, 2, 3, 3, 1, 1},
+                            ConvGeom{3, 16, 16, 3, 3, 1, 1},
+                            ConvGeom{2, 7, 7, 5, 5, 1, 2}}) {
+    SCOPED_TRACE(std::to_string(g.height) + "x" + std::to_string(g.width) +
+                 " k=" + std::to_string(g.kernel_h) +
+                 " s=" + std::to_string(g.stride));
+    const std::size_t cr = g.col_rows(), cc = g.col_cols();
+    const std::size_t plane = g.channels * g.height * g.width;
+    const std::size_t psz = g.padded_size(), n = samples * cc;
+    Rng rng(cr * 7 + cc);
+    std::vector<float> w(out * cr), x(samples * plane);
+    for (float& v : w)  // on the 16-level grid
+      v = static_cast<float>(static_cast<int>(rng.uniform() * 15) - 7) / 15;
+    for (std::size_t i = 0; i < samples; ++i)
+      for (std::size_t e = 0; e < plane; ++e)
+        x[i * plane + e] = static_cast<float>(std::pow(10.0, int(i) - 2) *
+                                              (rng.uniform() * 2.0 - 1.0));
+    if (!g.reads_every_pixel()) {  // (1, 1) is never read at stride 2
+      x[1 * plane + g.width + 1] = 1e30f;
+      x[3 * plane + g.width + 1] = std::numeric_limits<float>::quiet_NaN();
+    }
+    ConvOffsets o;
+    o.build(g);
+    std::vector<std::uint8_t> bytes(samples * psz);
+    std::vector<float> first;
+    for_each_int8_kernel([&] {
+      Int8APack p;
+      p.pack(out, cr, StridedOperand{w.data(), cr, 1}, 1.0f / 15.0f);
+      std::vector<float> col(cr * cc), want(out * n), got(out * n, -7.0f);
+      for (std::size_t i = 0; i < samples; ++i) {
+        im2col(x.data() + i * plane, g, col.data());
+        ASSERT_TRUE(p.multiply(cc, StridedOperand{col.data(), cc, 1},
+                               want.data() + i * cc, n));
+      }
+      std::vector<float> padded(samples * psz);
+      for (std::size_t i = 0; i < samples; ++i)
+        pad_image(x.data() + i * plane, g, padded.data() + i * psz);
+      const Int8ConvOperand op{
+          ConvOperand{padded.data(), psz, o.row_off.data(), o.col_off.data(),
+                      cc},
+          g.reads_every_pixel(), bytes.data()};
+      ASSERT_TRUE(p.multiply(n, op, got.data(), n));
+      const std::size_t nbytes = want.size() * sizeof(float);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), nbytes), 0);
+      if (first.empty()) first = got;
+      EXPECT_EQ(std::memcmp(got.data(), first.data(), nbytes), 0);
+
+      padded[2 * psz + static_cast<std::size_t>(o.row_off[cr - 1] +
+                                                o.col_off[cc - 1])] =
+          std::numeric_limits<float>::quiet_NaN();
+      std::fill(got.begin(), got.end(), -7.0f);
+      EXPECT_FALSE(p.multiply(n, op, got.data(), n));
+      EXPECT_TRUE(std::all_of(got.begin(), got.end(),
+                              [](float v) { return v == -7.0f; }));
+    });
+  }
 }
 
 TEST(Int8Gemm, NonFiniteActivationsForceFp32Fallback) {
