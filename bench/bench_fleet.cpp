@@ -6,7 +6,8 @@
 // The step-denominated numbers (latency percentiles, slice/migration
 // counts) are deterministic for a given job mix; the /min rates are wall
 // clock and track machine speed — together they are the BENCH_fleet.json
-// perf-trajectory record CI archives per commit (`--json PATH`).
+// perf-trajectory record CI archives per commit (`--json PATH`), which
+// declares the gate class of each field in its "gates" object.
 
 #include <cstdio>
 #include <fstream>
@@ -82,7 +83,23 @@ int main(int argc, char** argv) {
                    json_path.c_str());
       return 2;
     }
-    out << "{\"bench\":\"fleet\",\"summary\":" << s.json() << "}\n";
+    // Step counts, outcomes and step-clock percentiles are exact; the
+    // wall-clock run time is bounded above and the rates below.
+    out << "{\"bench\":\"fleet\",\"summary\":" << s.json()
+        << R"(,"gates":{"exact":["summary.chips","summary.submitted",)"
+        << R"("summary.rejected","summary.completed","summary.failed",)"
+        << R"("summary.migrations","summary.steps","summary.epochs_trained",)"
+        << R"("summary.queue_wait_steps.count",)"
+        << R"("summary.queue_wait_steps.mean","summary.queue_wait_steps.p50",)"
+        << R"("summary.queue_wait_steps.p95","summary.queue_wait_steps.p99",)"
+        << R"("summary.completion_latency_steps.count",)"
+        << R"("summary.completion_latency_steps.mean",)"
+        << R"("summary.completion_latency_steps.p50",)"
+        << R"("summary.completion_latency_steps.p95",)"
+        << R"("summary.completion_latency_steps.p99"],)"
+        << R"("wall":["summary.wall_seconds"],)"
+        << R"("floor":["summary.jobs_per_min","summary.epochs_per_min"]}})"
+        << "\n";
     std::printf("wrote %s\n", json_path.c_str());
   }
   return 0;

@@ -14,7 +14,8 @@
 //             every trio member; the float curves themselves are
 //             machine-shaped and not gated.
 //
-// JSON (--json PATH) is compared against bench/baselines/BENCH_quant.json.
+// JSON (--json PATH) is compared against bench/baselines/BENCH_quant.json
+// through the gate classes its "gates" object declares.
 // Exit 0 when every ordering and the determinism verdict hold, 1 otherwise.
 
 #include <algorithm>
@@ -290,7 +291,16 @@ int main(int argc, char** argv) {
           << p.threads << ",\"cell_bits\":" << p.cell_bits
           << ",\"best_acc\":" << p.best_acc << "}";
     }
-    out << "],\"wall_seconds\":" << wall_seconds << "}\n";
+    // Accuracy points carry neither timing field, so the point paths
+    // gate only the GEMM points; their float accuracies are gated through
+    // the ordering booleans instead.
+    out << "],\"wall_seconds\":" << wall_seconds
+        << R"(,"gates":{"exact":["deterministic","orderings.int8_2x_fp32_1t",)"
+        << R"("orderings.four_bit_within_1pt_saf",)"
+        << R"("orderings.four_bit_within_1pt_saf_transient",)"
+        << R"("orderings.four_bit_within_1pt_saf_irdrop"],)"
+        << R"("wall":["points[].median_ms","wall_seconds"],)"
+        << R"("floor":["points[].gflops"]}})" << "\n";
     std::printf("wrote %s\n", json_path.c_str());
   }
 

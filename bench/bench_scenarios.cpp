@@ -19,8 +19,9 @@
 // (the GEMM kernel dispatches AVX2 vs portable); what the perf gate pins
 // EXACTLY are the machine-independent verdicts: the three ordering
 // booleans and the 1-vs-4-thread bitwise-determinism check run on the two
-// new scenarios (`deterministic`). scripts/check_bench.py compares the
-// JSON (`--json PATH`) against bench/baselines/BENCH_scenarios.json.
+// new scenarios (`deterministic`): the record's "gates" object lists them
+// as exact. scripts/check_bench.py compares the JSON (`--json PATH`)
+// against bench/baselines/BENCH_scenarios.json.
 
 #include <chrono>
 #include <cstdio>
@@ -263,7 +264,12 @@ int main(int argc, char** argv) {
           << ",\"refreshed_cells\":" << last.refreshed_cells
           << ",\"total_remaps\":" << p.result.total_remaps << "}";
     }
-    out << "],\"wall_seconds\":" << wall_seconds << "}\n";
+    out << "],\"wall_seconds\":" << wall_seconds
+        << R"(,"gates":{"exact":["deterministic",)"
+        << R"("orderings.refresh_beats_none_transient",)"
+        << R"("orderings.altmap_beats_static_irdrop",)"
+        << R"("orderings.remapd_beats_none_saf"],)"
+        << R"("wall":["wall_seconds"],"floor":[]}})" << "\n";
     std::printf("wrote %s\n", json_path.c_str());
   }
 

@@ -1,32 +1,41 @@
 #!/usr/bin/env python3
 """Perf-regression gate over the BENCH_*.json trajectory records.
 
-Runs `bench_gemm --json`, `bench_kernels --json`, `bench_fleet --json`,
-`bench_scenarios --json` and `bench_quant --json` from a build tree and
-compares the fresh records
-against the committed baselines in bench/baselines/. Three classes of
-field, three rules:
+Runs `bench_<name> --json` for every bench in BENCHES from a build tree
+and compares the fresh records against the committed baselines in
+bench/baselines/. Each record declares which of its fields are gated, and
+how, in a "gates" object:
 
-* Deterministic fields (scheduler step counts, job outcomes, latency
-  percentiles measured on the fleet's virtual step clock, the gemm/kernels
-  determinism verdicts, the scenario-ordering booleans) are
-  machine-independent by the repo's determinism contract — they must match
-  the baseline EXACTLY. A drift here is a behavior change smuggled in as a
-  perf delta.
-* Wall-clock fields (median_ms, wall_seconds, ...) track machine speed:
-  the fresh value must stay under baseline * --slack (default 3.0 — CI
-  runners are noisy; the gate is for order-of-magnitude regressions, the
-  archived artifacts are for trend analysis).
-* Throughput fields (gflops, jobs_per_min, ...) regress downward: the
-  fresh value must stay above baseline / --slack.
+    "gates": {"exact": [paths...], "wall": [paths...], "floor": [paths...]}
+
+A path is dotted object keys ("summary.queue_wait_steps.p95"). A leading
+"points[]." applies the rest of the path to every baseline point that
+carries the field, matching fresh points on (workload, threads); every
+baseline point must still exist. Three rules:
+
+* exact: deterministic fields (scheduler step counts, determinism
+  verdicts, ordering booleans) are machine-independent by the repo's
+  determinism contract and must match the baseline EXACTLY. A drift here
+  is a behavior change smuggled in as a perf delta.
+* wall: wall-clock fields track machine speed; the fresh value must stay
+  under baseline * --slack (default 3.0 — CI runners are noisy; the gate
+  is for order-of-magnitude regressions, the archived artifacts are for
+  trend analysis).
+* floor: throughput fields regress downward; the fresh value must stay
+  above baseline / --slack.
+
+The gates are read from the committed baseline, and one extra exact row
+per bench requires the fresh record's gates to equal them, so a bench
+edit cannot quietly un-gate a field. A gated field missing from either
+record fails.
 
 Usage:
   check_bench.py [--build-dir build] [--baseline-dir bench/baselines]
                  [--slack 3.0] [--out-dir .] [--update]
 
 --update rewrites the baselines from the fresh run (commit the result).
-Fresh records are always written to --out-dir as BENCH_gemm.json /
-BENCH_fleet.json so CI can archive them per commit.
+Fresh records are always written to --out-dir as BENCH_<name>.json so CI
+can archive them per commit.
 
 Exit codes: 0 pass, 1 regression, 2 bad usage / missing binaries.
 """
@@ -37,71 +46,9 @@ import os
 import subprocess
 import sys
 
-# (bench, json-path-in-record) -> exact match required.
-# Paths use '.' for object fields; 'points[]' compares point lists matched
-# on (workload, threads).
-GEMM_EXACT = ["deterministic"]
-GEMM_POINT_WALL = ["median_ms"]  # per-point wall-clock fields
-GEMM_POINT_FLOOR = ["gflops"]    # per-point throughput floors (if present)
-
-KERNELS_EXACT = ["deterministic"]
-KERNELS_POINT_WALL = ["median_ms"]
-KERNELS_POINT_FLOOR = ["gflops"]
-
-FLEET_EXACT = [
-    "summary.chips",
-    "summary.submitted",
-    "summary.rejected",
-    "summary.completed",
-    "summary.failed",
-    "summary.migrations",
-    "summary.steps",
-    "summary.epochs_trained",
-    "summary.queue_wait_steps.count",
-    "summary.queue_wait_steps.mean",
-    "summary.queue_wait_steps.p50",
-    "summary.queue_wait_steps.p95",
-    "summary.queue_wait_steps.p99",
-    "summary.completion_latency_steps.count",
-    "summary.completion_latency_steps.mean",
-    "summary.completion_latency_steps.p50",
-    "summary.completion_latency_steps.p95",
-    "summary.completion_latency_steps.p99",
-]
-FLEET_WALL = [
-    "summary.wall_seconds",
-    "summary.jobs_per_min",
-    "summary.epochs_per_min",
-]
-
-# Scenario head-to-heads: the ordering verdicts are the point of the bench
-# — a flipped ordering is a scenario-model or policy regression, not a perf
-# delta. The float accuracy points are machine-shaped (kernel dispatch) and
-# deliberately not gated.
-SCENARIOS_EXACT = [
-    "deterministic",
-    "orderings.refresh_beats_none_transient",
-    "orderings.altmap_beats_static_irdrop",
-    "orderings.remapd_beats_none_saf",
-]
-SCENARIOS_WALL = ["wall_seconds"]
-
-# Quantized-conductance bench: the determinism verdict (1-vs-4-thread int8
-# GEMM byte identity) and the ordering booleans (int8 >= 2x fp32
-# single-thread; 4-bit within 1pt of fp32 under each scenario) are the
-# contract — exact. GEMM point timings get the usual wall/floor treatment;
-# the accuracy points carry no timing fields and are gated through the
-# ordering booleans instead of raw floats.
-QUANT_EXACT = [
-    "deterministic",
-    "orderings.int8_2x_fp32_1t",
-    "orderings.four_bit_within_1pt_saf",
-    "orderings.four_bit_within_1pt_saf_transient",
-    "orderings.four_bit_within_1pt_saf_irdrop",
-]
-QUANT_POINT_WALL = ["median_ms"]
-QUANT_POINT_FLOOR = ["gflops"]
-QUANT_WALL = ["wall_seconds"]
+BENCHES = ["kernels", "fleet", "scenarios", "quant"]
+RULES = ["exact", "wall", "floor"]
+POINTS = "points[]."
 
 
 def dig(record, path):
@@ -116,43 +63,31 @@ def dig(record, path):
 class Gate:
     def __init__(self, slack):
         self.slack = slack
+        self.labels = {"exact": "exact", "wall": f"<= {slack:g}x",
+                       "floor": f">= /{slack:g}"}
         self.rows = []  # (bench, field, baseline, fresh, rule, ok)
         self.failed = False
 
-    def exact(self, bench, field, baseline, fresh):
-        ok = baseline == fresh
-        self.rows.append((bench, field, baseline, fresh, "exact", ok))
-        if not ok:
-            self.failed = True
-
-    def wall(self, bench, field, baseline, fresh):
+    def check(self, rule, bench, field, baseline, fresh):
         if baseline is None or fresh is None:
-            self.exact(bench, field, baseline, fresh)  # force a visible FAIL
-            return
-        limit = baseline * self.slack
-        ok = fresh <= limit
-        rule = f"<= {self.slack:g}x"
-        self.rows.append((bench, field, baseline, fresh, rule, ok))
-        if not ok:
-            self.failed = True
-
-    def floor(self, bench, field, baseline, fresh):
-        """Throughput: fresh must stay above baseline / slack."""
-        if baseline is None or fresh is None:
-            self.exact(bench, field, baseline, fresh)  # force a visible FAIL
-            return
-        ok = fresh >= baseline / self.slack
-        rule = f">= /{self.slack:g}"
-        self.rows.append((bench, field, baseline, fresh, rule, ok))
-        if not ok:
-            self.failed = True
+            ok = False  # a missing gated field is a visible FAIL, not a skip
+        elif rule == "exact":
+            ok = baseline == fresh
+        elif rule == "wall":
+            ok = fresh <= baseline * self.slack
+        else:
+            ok = fresh >= baseline / self.slack
+        self.rows.append((bench, field, baseline, fresh, self.labels[rule],
+                          ok))
+        self.failed |= not ok
 
     def report(self):
+        wb = max((len(r[0]) for r in self.rows), default=6)
         wf = max((len(r[1]) for r in self.rows), default=10)
-        print(f"{'bench':<6} {'field':<{wf}} {'baseline':>14} "
+        print(f"{'bench':<{wb}} {'field':<{wf}} {'baseline':>14} "
               f"{'fresh':>14} {'rule':>8}  verdict")
         for bench, field, baseline, fresh, rule, ok in self.rows:
-            print(f"{bench:<6} {field:<{wf}} {str(baseline):>14} "
+            print(f"{bench:<{wb}} {field:<{wf}} {str(baseline):>14} "
                   f"{str(fresh):>14} {rule:>8}  "
                   f"{'PASS' if ok else 'FAIL'}")
         print()
@@ -160,6 +95,56 @@ class Gate:
             print("check_bench: REGRESSION — see FAIL rows above")
         else:
             print(f"check_bench: PASS ({len(self.rows)} checks)")
+
+
+def show_gates(gates, same):
+    """Table cell for a gates object: a path count when both records agree,
+    the whole object when they differ, None (a FAIL) when it is missing."""
+    if not isinstance(gates, dict):
+        return None
+    if same:
+        return f"{sum(len(paths) for paths in gates.values())} paths"
+    return json.dumps(gates, separators=(",", ":"))
+
+
+def compare(gate, bench, baseline, fresh):
+    """Apply the baseline's declared gates to one fresh record."""
+    gates, fresh_gates = baseline.get("gates"), fresh.get("gates")
+    same = gates == fresh_gates
+    gate.check("exact", bench, "gates", show_gates(gates, same),
+               show_gates(fresh_gates, same))
+    if not isinstance(gates, dict):
+        return
+    top = {rule: [p for p in gates.get(rule, []) if not p.startswith(POINTS)]
+           for rule in RULES}
+    per_point = [(rule, p[len(POINTS):]) for rule in RULES
+                 for p in gates.get(rule, []) if p.startswith(POINTS)]
+
+    for path in top["exact"]:
+        gate.check("exact", bench, path, dig(baseline, path),
+                   dig(fresh, path))
+    if per_point:
+        base_points = {(p["workload"], p["threads"]): p
+                       for p in baseline.get("points", [])}
+        fresh_points = {(p["workload"], p["threads"]): p
+                        for p in fresh.get("points", [])}
+        # A silently dropped workload is not a pass.
+        for key, bp in sorted(base_points.items()):
+            fp = fresh_points.get(key)
+            label = f"points[{key[0]},t{key[1]}]"
+            if fp is None:
+                gate.check("exact", bench, label, "present", "missing")
+                continue
+            # Points mix timing and accuracy workloads: a point path binds
+            # only where the baseline point carries the field.
+            for rule, path in per_point:
+                if dig(bp, path) is not None:
+                    gate.check(rule, bench, f"{label}.{path}", dig(bp, path),
+                               dig(fp, path))
+    for rule in ("wall", "floor"):
+        for path in top[rule]:
+            gate.check(rule, bench, path, dig(baseline, path),
+                       dig(fresh, path))
 
 
 def run_bench(binary, out_path):
@@ -174,72 +159,6 @@ def run_bench(binary, out_path):
         return json.load(f)
 
 
-def check_points(gate, bench, baseline, fresh, exact_fields, wall_fields,
-                 floor_fields):
-    """Point lists matched on (workload, threads): wall fields bounded
-    above, throughput floors bounded below. Both are checked only where
-    the baseline point reports them — benches mix timing points with
-    accuracy points that carry neither field."""
-    for field in exact_fields:
-        gate.exact(bench, field, dig(baseline, field), dig(fresh, field))
-    base_points = {(p["workload"], p["threads"]): p
-                   for p in baseline.get("points", [])}
-    fresh_points = {(p["workload"], p["threads"]): p
-                    for p in fresh.get("points", [])}
-    # Every baseline point must still exist — a silently dropped workload
-    # is not a pass.
-    for key, bp in sorted(base_points.items()):
-        fp = fresh_points.get(key)
-        label = f"points[{key[0]},t{key[1]}]"
-        if fp is None:
-            gate.exact(bench, label, "present", "missing")
-            continue
-        for field in wall_fields:
-            if field in bp:
-                gate.wall(bench, f"{label}.{field}", bp.get(field),
-                          fp.get(field))
-        for field in floor_fields:
-            if field in bp:
-                gate.floor(bench, f"{label}.{field}", bp.get(field),
-                           fp.get(field))
-
-
-def check_gemm(gate, baseline, fresh):
-    check_points(gate, "gemm", baseline, fresh, GEMM_EXACT,
-                 GEMM_POINT_WALL, GEMM_POINT_FLOOR)
-
-
-def check_kernels(gate, baseline, fresh):
-    check_points(gate, "kernels", baseline, fresh, KERNELS_EXACT,
-                 KERNELS_POINT_WALL, KERNELS_POINT_FLOOR)
-
-
-def check_scenarios(gate, baseline, fresh):
-    for field in SCENARIOS_EXACT:
-        gate.exact("scen", field, dig(baseline, field), dig(fresh, field))
-    for field in SCENARIOS_WALL:
-        gate.wall("scen", field, dig(baseline, field), dig(fresh, field))
-
-
-def check_quant(gate, baseline, fresh):
-    check_points(gate, "quant", baseline, fresh, QUANT_EXACT,
-                 QUANT_POINT_WALL, QUANT_POINT_FLOOR)
-    for field in QUANT_WALL:
-        gate.wall("quant", field, dig(baseline, field), dig(fresh, field))
-
-
-def check_fleet(gate, baseline, fresh):
-    for field in FLEET_EXACT:
-        gate.exact("fleet", field, dig(baseline, field), dig(fresh, field))
-    for field in FLEET_WALL:
-        b, f = dig(baseline, field), dig(fresh, field)
-        if field == "summary.wall_seconds":
-            gate.wall("fleet", field, b, f)
-        else:
-            # Throughputs regress downward.
-            gate.floor("fleet", field, b, f)
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--build-dir", default="build")
@@ -251,24 +170,11 @@ def main():
                     help="rewrite baselines from the fresh run")
     args = ap.parse_args()
 
-    benches = [
-        ("gemm", os.path.join(args.build_dir, "bench", "bench_gemm"),
-         check_gemm),
-        ("kernels", os.path.join(args.build_dir, "bench", "bench_kernels"),
-         check_kernels),
-        ("fleet", os.path.join(args.build_dir, "bench", "bench_fleet"),
-         check_fleet),
-        ("scenarios",
-         os.path.join(args.build_dir, "bench", "bench_scenarios"),
-         check_scenarios),
-        ("quant", os.path.join(args.build_dir, "bench", "bench_quant"),
-         check_quant),
-    ]
-
     gate = Gate(args.slack)
-    for name, binary, checker in benches:
-        fresh_path = os.path.join(args.out_dir, f"BENCH_{name}.json")
-        fresh = run_bench(binary, fresh_path)
+    for name in BENCHES:
+        binary = os.path.join(args.build_dir, "bench", f"bench_{name}")
+        fresh = run_bench(binary,
+                          os.path.join(args.out_dir, f"BENCH_{name}.json"))
         baseline_path = os.path.join(args.baseline_dir,
                                      f"BENCH_{name}.json")
         if args.update:
@@ -282,7 +188,7 @@ def main():
                      f"(run with --update to create) [exit 2]")
         with open(baseline_path) as f:
             baseline = json.load(f)
-        checker(gate, baseline, fresh)
+        compare(gate, name, baseline, fresh)
 
     if args.update:
         return 0

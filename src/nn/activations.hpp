@@ -6,6 +6,14 @@
 
 namespace remapd {
 
+/// ReLU in place: keeps v where v > 0 and writes +0.0f everywhere else
+/// (NaN and -0 included). With `mask` non-null it is reset to x's shape
+/// and holds 1 where v was kept, 0 elsewhere.
+void relu_inplace(Tensor& x, Tensor* mask);
+
+/// ReLU backward in place: dy[i] *= mask[i].
+void relu_backward_inplace(Tensor& dy, const Tensor& mask);
+
 class ReLU final : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "nn/activations.hpp"
+
 namespace remapd {
 
 // ---------------------------------------------------------------- Sequential
@@ -56,14 +58,7 @@ ResidualBlock::ResidualBlock(std::size_t in_channels,
 
 Tensor ResidualBlock::forward(const Tensor& x, bool train) {
   Tensor main = bn1_.forward(conv1_.forward(x, train), train);
-  if (train) relu1_mask_ = Tensor::zeros(main.shape());
-  for (std::size_t i = 0; i < main.numel(); ++i) {
-    if (main[i] > 0.0f) {
-      if (train) relu1_mask_[i] = 1.0f;
-    } else {
-      main[i] = 0.0f;
-    }
-  }
+  relu_inplace(main, train ? &relu1_mask_ : nullptr);
   main = bn2_.forward(conv2_.forward(main, train), train);
 
   Tensor skip =
@@ -71,15 +66,7 @@ Tensor ResidualBlock::forward(const Tensor& x, bool train) {
   if (!(skip.shape() == main.shape()))
     throw std::logic_error(tag_ + ": skip/main shape mismatch");
   main.add_(skip);
-
-  if (train) out_mask_ = Tensor::zeros(main.shape());
-  for (std::size_t i = 0; i < main.numel(); ++i) {
-    if (main[i] > 0.0f) {
-      if (train) out_mask_[i] = 1.0f;
-    } else {
-      main[i] = 0.0f;
-    }
-  }
+  relu_inplace(main, train ? &out_mask_ : nullptr);
   return main;
 }
 
@@ -87,7 +74,7 @@ Tensor ResidualBlock::backward(const Tensor& dy) {
   if (out_mask_.empty())
     throw std::logic_error(tag_ + ": backward before forward");
   Tensor d = dy;
-  for (std::size_t i = 0; i < d.numel(); ++i) d[i] *= out_mask_[i];
+  relu_backward_inplace(d, out_mask_);
 
   // Skip path gradient.
   Tensor dskip =
@@ -95,7 +82,7 @@ Tensor ResidualBlock::backward(const Tensor& dy) {
 
   // Main path gradient.
   Tensor dmain = conv2_.backward(bn2_.backward(d));
-  for (std::size_t i = 0; i < dmain.numel(); ++i) dmain[i] *= relu1_mask_[i];
+  relu_backward_inplace(dmain, relu1_mask_);
   dmain = conv1_.backward(bn1_.backward(dmain));
 
   dmain.add_(dskip);
@@ -154,37 +141,16 @@ FireModule::FireModule(std::size_t in_channels, std::size_t squeeze,
 
 Tensor FireModule::forward(const Tensor& x, bool train) {
   Tensor s = sq_bn_.forward(squeeze_.forward(x, train), train);
-  if (train) sq_mask_ = Tensor::zeros(s.shape());
-  for (std::size_t i = 0; i < s.numel(); ++i) {
-    if (s[i] > 0.0f) {
-      if (train) sq_mask_[i] = 1.0f;
-    } else {
-      s[i] = 0.0f;
-    }
-  }
+  relu_inplace(s, train ? &sq_mask_ : nullptr);
 
   Tensor a = e1_bn_.forward(expand1_.forward(s, train), train);
   Tensor b = e3_bn_.forward(expand3_.forward(s, train), train);
   if (train) {
     e1_shape_ = a.shape();
     e3_shape_ = b.shape();
-    e1_mask_ = Tensor::zeros(a.shape());
-    e3_mask_ = Tensor::zeros(b.shape());
   }
-  for (std::size_t i = 0; i < a.numel(); ++i) {
-    if (a[i] > 0.0f) {
-      if (train) e1_mask_[i] = 1.0f;
-    } else {
-      a[i] = 0.0f;
-    }
-  }
-  for (std::size_t i = 0; i < b.numel(); ++i) {
-    if (b[i] > 0.0f) {
-      if (train) e3_mask_[i] = 1.0f;
-    } else {
-      b[i] = 0.0f;
-    }
-  }
+  relu_inplace(a, train ? &e1_mask_ : nullptr);
+  relu_inplace(b, train ? &e3_mask_ : nullptr);
 
   // Channel concatenation.
   const std::size_t n = a.shape()[0];
@@ -223,12 +189,12 @@ Tensor FireModule::backward(const Tensor& dy) {
         db.data()[(i * e3_ + c) * hw + p] =
             dy.data()[((i * (e1_ + e3_) + e1_ + c) * hw) + p];
   }
-  for (std::size_t i = 0; i < da.numel(); ++i) da[i] *= e1_mask_[i];
-  for (std::size_t i = 0; i < db.numel(); ++i) db[i] *= e3_mask_[i];
+  relu_backward_inplace(da, e1_mask_);
+  relu_backward_inplace(db, e3_mask_);
 
   Tensor ds = expand1_.backward(e1_bn_.backward(da));
   ds.add_(expand3_.backward(e3_bn_.backward(db)));
-  for (std::size_t i = 0; i < ds.numel(); ++i) ds[i] *= sq_mask_[i];
+  relu_backward_inplace(ds, sq_mask_);
   return squeeze_.backward(sq_bn_.backward(ds));
 }
 

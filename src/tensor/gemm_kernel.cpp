@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <cstring>
+#include <stdexcept>
 
+#include "tensor/gemm_testing.hpp"
 #include "util/parallel.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -51,8 +53,11 @@ void micro_portable(std::size_t kc, const float* ap, const float* bp,
     for (std::size_t r = 0; r < kMR; ++r) {
       const float av = arow[r];
       float* crow = acc + r * kNR;
+      // Fused like micro_avx2's vfmadd, so every variant rounds once per
+      // product-add and writes the same bytes.
 #pragma omp simd
-      for (std::size_t j = 0; j < kNR; ++j) crow[j] += av * brow[j];
+      for (std::size_t j = 0; j < kNR; ++j)
+        crow[j] = __builtin_fmaf(av, brow[j], crow[j]);
     }
   }
   std::memcpy(tile, acc, sizeof(acc));
@@ -88,17 +93,37 @@ struct MicroChoice {
   const char* name;
 };
 
-MicroChoice resolve_micro() {
+// Every variant, in ascending dispatch preference.
+constexpr MicroChoice kVariants[] = {
+    {micro_portable, "portable"},
 #ifdef REMAPD_GEMM_X86_DISPATCH
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    return {micro_avx2, "avx2"};
+    {micro_avx2, "avx2"},
 #endif
-  return {micro_portable, "portable"};
+};
+
+bool cpu_runs(const MicroChoice& v) {
+#ifdef REMAPD_GEMM_X86_DISPATCH
+  if (v.fn == micro_avx2)
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#endif
+  (void)v;
+  return true;
+}
+
+/// The variant in force: the most preferred one the CPU runs, unless a
+/// test has forced another (gemm_testing::force_kernel).
+std::atomic<const MicroChoice*>& choice_slot() {
+  static std::atomic<const MicroChoice*> slot{[] {
+    const MicroChoice* best = &kVariants[0];
+    for (const MicroChoice& v : kVariants)
+      if (cpu_runs(v)) best = &v;
+    return best;
+  }()};
+  return slot;
 }
 
 const MicroChoice& micro_choice() {
-  static const MicroChoice choice = resolve_micro();
-  return choice;
+  return *choice_slot().load(std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -331,5 +356,26 @@ std::uint64_t gemm_scratch_allocations() {
 }
 
 const char* gemm_kernel_name() { return micro_choice().name; }
+
+namespace gemm_testing {
+
+std::vector<std::string> supported_kernels() {
+  std::vector<std::string> names;
+  for (const MicroChoice& v : kVariants)
+    if (cpu_runs(v)) names.emplace_back(v.name);
+  return names;
+}
+
+std::string force_kernel(const std::string& name) {
+  for (const MicroChoice& v : kVariants) {
+    if (name != v.name) continue;
+    if (!cpu_runs(v))
+      throw std::invalid_argument("fp32 kernel not runnable here: " + name);
+    return choice_slot().exchange(&v, std::memory_order_relaxed)->name;
+  }
+  throw std::invalid_argument("unknown fp32 kernel: " + name);
+}
+
+}  // namespace gemm_testing
 
 }  // namespace remapd

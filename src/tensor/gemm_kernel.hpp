@@ -33,9 +33,10 @@
 // Two micro-kernel implementations sit behind one function pointer chosen
 // at process start: an AVX2+FMA intrinsics kernel (x86-64, runtime
 // __builtin_cpu_supports dispatch, no special build flags needed) and a
-// portable `#pragma omp simd` kernel. The choice is per-process, so it
-// cannot vary with thread count; results may differ across machines (as
-// compiler flags already allow) but never across runs on one machine.
+// portable `#pragma omp simd` kernel. Both fuse each multiply-add (one
+// rounding, ascending k), so they write the same bytes; tests force each
+// variant through tensor/gemm_testing.hpp. The choice is per-process, so
+// it cannot vary with thread count.
 #pragma once
 
 #include <cstddef>

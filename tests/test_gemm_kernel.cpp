@@ -7,17 +7,22 @@
 // previously materialized fresh transpose buffers per call), and the flops
 // telemetry regression (degenerate calls must record zero flops), and the
 // implicit-GEMM ConvOperand packer against the im2col panel it replaces.
+// The golden sweep and the ConvOperand check run under every fp32
+// micro-kernel variant the CPU supports and must agree bitwise across them.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "nn/conv2d.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_kernel.hpp"
+#include "tensor/gemm_testing.hpp"
 #include "tensor/im2col.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -62,6 +67,42 @@ Tensor random_matrix(std::size_t r, std::size_t cdim, Rng& rng) {
   return Tensor::randn(Shape{r, cdim}, rng);
 }
 
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Runs `body(out)` once under every fp32 kernel variant this CPU runs
+/// (the portable one always), expects each variant's `out` to be bitwise
+/// the first's, then restores the dispatched variant.
+template <class Body>
+void for_each_fp32_kernel(Body&& body) {
+  struct Restore {
+    std::string name = gemm_kernel_name();
+    ~Restore() { gemm_testing::force_kernel(name); }
+  } restore;
+  const std::vector<std::string> kernels = gemm_testing::supported_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(kernels.front(), "portable");
+  EXPECT_EQ(kernels.back(), restore.name) << "dispatch picks the best";
+  std::vector<float> first;
+  for (const std::string& name : kernels) {
+    SCOPED_TRACE("fp32 kernel " + name);
+    gemm_testing::force_kernel(name);
+    ASSERT_EQ(std::string(gemm_kernel_name()), name);
+    std::vector<float> out;
+    body(out);
+    if (name == kernels.front())
+      first = std::move(out);
+    else
+      EXPECT_TRUE(same_bits(out, first)) << name << " vs " << kernels.front();
+  }
+}
+
+TEST(GemmKernel, KernelOverrideRejectsUnknownVariants) {
+  EXPECT_THROW(gemm_testing::force_kernel("avx9000"), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Golden values vs the reference triple loop
 // ---------------------------------------------------------------------------
@@ -70,25 +111,26 @@ TEST(GemmKernel, GoldenSweepAllTransposesAndTailShapes) {
   // Sizes straddle every tile boundary: micro-tile (kMR=6, kNR=16), the
   // row-partition grain (kMC=48), and skinny/tail shapes.
   const std::size_t sizes[] = {1, 3, 6, 7, 15, 16, 17, 47, 48, 49, 100};
-  Rng rng(2025);
-  for (const std::size_t m : sizes)
-    for (const std::size_t n : sizes)
-      for (const std::size_t k : sizes)
-        for (int t = 0; t < 4; ++t) {
-          const bool ta = t & 2, tb = t & 1;
-          const Tensor a =
-              random_matrix(ta ? k : m, ta ? m : k, rng);
-          const Tensor b =
-              random_matrix(tb ? n : k, tb ? k : n, rng);
-          const Tensor c = matmul(a, ta, b, tb);
-          std::vector<float> ref(m * n, 0.0f);
-          ref_gemm(ta, tb, m, n, k, 1.0f, a.data(), a.shape()[1], b.data(),
-                   b.shape()[1], 0.0f, ref.data(), n);
-          for (std::size_t e = 0; e < m * n; ++e)
-            ASSERT_NEAR(c[e], ref[e], 2e-4 * (std::abs(ref[e]) + 1.0))
-                << "m=" << m << " n=" << n << " k=" << k << " ta=" << ta
-                << " tb=" << tb << " e=" << e;
-        }
+  for_each_fp32_kernel([&](std::vector<float>& out) {
+    Rng rng(2025);
+    for (const std::size_t m : sizes)
+      for (const std::size_t n : sizes)
+        for (const std::size_t k : sizes)
+          for (int t = 0; t < 4; ++t) {
+            const bool ta = t & 2, tb = t & 1;
+            const Tensor a = random_matrix(ta ? k : m, ta ? m : k, rng);
+            const Tensor b = random_matrix(tb ? n : k, tb ? k : n, rng);
+            const Tensor c = matmul(a, ta, b, tb);
+            std::vector<float> ref(m * n, 0.0f);
+            ref_gemm(ta, tb, m, n, k, 1.0f, a.data(), a.shape()[1], b.data(),
+                     b.shape()[1], 0.0f, ref.data(), n);
+            for (std::size_t e = 0; e < m * n; ++e)
+              ASSERT_NEAR(c[e], ref[e], 2e-4 * (std::abs(ref[e]) + 1.0))
+                  << "m=" << m << " n=" << n << " k=" << k << " ta=" << ta
+                  << " tb=" << tb << " e=" << e;
+            out.insert(out.end(), c.data(), c.data() + c.numel());
+          }
+  });
 }
 
 TEST(GemmKernel, AlphaBetaSemantics) {
@@ -330,29 +372,30 @@ ConvProducts conv_products(const PackCase& k, const Tensor& x,
   return r;
 }
 
-bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-}
-
 TEST(GemmConvOperand, MatchesIm2colPanelBitwise) {
-  for (const PackCase& k : pack_cases()) {
-    const ConvGeom& g = k.g;
-    Rng rng(g.height * 31 + g.width * 7 + g.kernel_h + g.stride);
-    const Tensor x =
-        Tensor::randn(Shape{k.samples, g.channels, g.height, g.width}, rng);
-    const Tensor w = random_matrix(k.out_ch, g.col_rows(), rng);
-    const Tensor dy = random_matrix(k.samples * k.out_ch, g.col_cols(), rng);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      ThreadGuard guard(threads);
-      const ConvProducts want = conv_products(k, x, w, dy, false);
-      const ConvProducts got = conv_products(k, x, w, dy, true);
-      EXPECT_TRUE(same_bits(got.y, want.y))
-          << k.what << ", threads=" << threads << ": block operand (y)";
-      EXPECT_TRUE(same_bits(got.dw, want.dw))
-          << k.what << ", threads=" << threads << ": transposed operand (dW)";
+  for_each_fp32_kernel([](std::vector<float>& out) {
+    for (const PackCase& k : pack_cases()) {
+      const ConvGeom& g = k.g;
+      Rng rng(g.height * 31 + g.width * 7 + g.kernel_h + g.stride);
+      const Tensor x =
+          Tensor::randn(Shape{k.samples, g.channels, g.height, g.width}, rng);
+      const Tensor w = random_matrix(k.out_ch, g.col_rows(), rng);
+      const Tensor dy =
+          random_matrix(k.samples * k.out_ch, g.col_cols(), rng);
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        ThreadGuard guard(threads);
+        const ConvProducts want = conv_products(k, x, w, dy, false);
+        const ConvProducts got = conv_products(k, x, w, dy, true);
+        EXPECT_TRUE(same_bits(got.y, want.y))
+            << k.what << ", threads=" << threads << ": block operand (y)";
+        EXPECT_TRUE(same_bits(got.dw, want.dw))
+            << k.what << ", threads=" << threads
+            << ": transposed operand (dW)";
+        out.insert(out.end(), got.y.begin(), got.y.end());
+        out.insert(out.end(), got.dw.begin(), got.dw.end());
+      }
     }
-  }
+  });
 }
 
 TEST(GemmConvOperand, NonFiniteInputReachesYAndDw) {
@@ -466,7 +509,7 @@ TEST(GemmKernel, FlopsCountedOnlyForIssuedMultiplies) {
   const std::uint64_t before = flops.value();
   // Degenerate calls: alpha == 0, k == 0, empty C — no multiplies, no flops
   // (the old kernel recorded 2*m*n*k before its early return, inflating
-  // GFLOP/s in telemetry and BENCH_gemm.json).
+  // GFLOP/s in telemetry and in the bench records).
   gemm(false, false, 6, 4, 5, 0.0f, a.data(), 5, b.data(), 4, 0.5f, c.data(),
        4);
   gemm(false, false, 6, 4, 0, 1.0f, a.data(), 5, b.data(), 4, 1.0f, c.data(),

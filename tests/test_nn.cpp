@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
@@ -218,6 +220,40 @@ TEST(ReLU, ForwardAndMaskedBackward) {
   EXPECT_FLOAT_EQ(dx[1], 1.0f);
   EXPECT_FLOAT_EQ(dx[2], 0.0f);
   EXPECT_FLOAT_EQ(dx[3], 1.0f);
+}
+
+TEST(ReLU, InPlaceHelperZeroesEverythingNotPositive) {
+  // v > 0 keeps v with mask 1; 0, -0, negatives and NaN all become +0
+  // with mask 0. A stale mask of the right shape is fully overwritten.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  Tensor x = Tensor::from_vector(Shape{8},
+                                 {1.5f, -2.0f, 0.0f, -0.0f, nan, inf, -inf,
+                                  tiny});
+  Tensor mask(Shape{8}, 7.0f);
+  relu_inplace(x, &mask);
+  const float want_y[8] = {1.5f, 0.0f, 0.0f, 0.0f, 0.0f, inf, 0.0f, tiny};
+  const float want_m[8] = {1, 0, 0, 0, 0, 1, 0, 1};
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(std::memcmp(&x[i], &want_y[i], sizeof(float)), 0) << i;
+    EXPECT_EQ(mask[i], want_m[i]) << i;
+  }
+
+  // Without a mask only the values change; backward multiplies, so a NaN
+  // gradient under a zero mask stays NaN.
+  Tensor y = Tensor::from_vector(Shape{2}, {-1.0f, 3.0f});
+  relu_inplace(y, nullptr);
+  EXPECT_EQ(y[0], 0.0f);
+  EXPECT_EQ(y[1], 3.0f);
+  Tensor dy = Tensor::from_vector(Shape{8},
+                                  {2, 2, -2, 2, 2, nan, nan, 2});
+  relu_backward_inplace(dy, mask);
+  EXPECT_EQ(dy[0], 2.0f);
+  EXPECT_TRUE(std::signbit(dy[2]));  // -2 * 0 = -0
+  EXPECT_TRUE(std::isnan(dy[5]));
+  EXPECT_TRUE(std::isnan(dy[6]));
+  EXPECT_EQ(dy[7], 2.0f);
 }
 
 TEST(Flatten, RoundTrip) {

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <set>
+#include <sstream>
+#include <string>
 
+#include "obs/jsonl.hpp"
+#include "obs/report.hpp"
 #include "trainer/fault_aware_trainer.hpp"
 
 namespace remapd {
@@ -317,6 +322,81 @@ TEST(Trainer, NewFaultsRecordedPerEpoch) {
   ideal.faults = FaultScenario::ideal();
   for (const EpochRecord& e : train_with_faults(ideal).history)
     EXPECT_EQ(e.new_faults, 0u);
+}
+
+template <class T>
+bool same_bits(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+TEST(Trainer, ObservatoryRecordsEveryEpochWithoutChangingHistory) {
+  // The health-observer branches of begin_training and each epoch's end
+  // run only with the observatory on; they must observe, never steer.
+  TrainerConfig cfg = tiny("resnet12");
+  cfg.faults = FaultScenario::paper_default();
+  cfg.policy = "remap-d";
+  const TrainResult plain = train_with_faults(cfg);
+
+  obs::Observatory& ob = obs::Observatory::instance();
+  struct Disable {
+    obs::Observatory& ob;
+    ~Disable() {
+      ob.reset();
+      obs::set_enabled(false);
+    }
+  } disable{ob};
+  ob.reset();
+  obs::set_enabled(true);
+  const TrainResult observed = train_with_faults(cfg);
+
+  ASSERT_EQ(observed.history.size(), plain.history.size());
+  for (std::size_t e = 0; e < plain.history.size(); ++e) {
+    const EpochRecord& x = plain.history[e];
+    const EpochRecord& y = observed.history[e];
+    EXPECT_TRUE(same_bits(x.train_loss, y.train_loss)) << e;
+    EXPECT_TRUE(same_bits(x.train_accuracy, y.train_accuracy)) << e;
+    EXPECT_TRUE(same_bits(x.test_accuracy, y.test_accuracy)) << e;
+    EXPECT_TRUE(same_bits(x.mean_density_est, y.mean_density_est)) << e;
+    EXPECT_TRUE(same_bits(x.max_density_est, y.max_density_est)) << e;
+    EXPECT_EQ(x.remaps, y.remaps) << e;
+    EXPECT_EQ(x.total_faults, y.total_faults) << e;
+    EXPECT_EQ(x.new_faults, y.new_faults) << e;
+    EXPECT_EQ(x.bist_cycles, y.bist_cycles) << e;
+  }
+  EXPECT_TRUE(
+      same_bits(plain.final_test_accuracy, observed.final_test_accuracy));
+  EXPECT_EQ(plain.total_remaps, observed.total_remaps);
+
+  // The stream re-reads through the JSONL reader, with one run line and
+  // one epoch line per trained epoch carrying the trainer's counts.
+  std::istringstream is(ob.jsonl());
+  std::string line;
+  std::size_t runs = 0;
+  std::vector<json::Value> epochs;
+  while (std::getline(is, line)) {
+    if (line.empty()) continue;
+    json::Value obj;
+    std::string err;
+    ASSERT_TRUE(obs::parse_jsonl_line(line, &obj, &err)) << err << ": "
+                                                         << line;
+    const std::string type = obj.text("type", "");
+    if (type == "run") {
+      ++runs;
+      EXPECT_EQ(obj.text("model", ""), "resnet12");
+      EXPECT_EQ(obj.text("policy", ""), "remap-d");
+    } else if (type == "epoch") {
+      epochs.push_back(std::move(obj));
+    }
+  }
+  EXPECT_EQ(runs, 1u);
+  ASSERT_EQ(epochs.size(), cfg.epochs);
+  for (std::size_t e = 0; e < epochs.size(); ++e) {
+    const EpochRecord& rec = observed.history[e];
+    EXPECT_EQ(epochs[e].num("epoch", -1), static_cast<double>(e));
+    EXPECT_EQ(epochs[e].num("remaps", -1), static_cast<double>(rec.remaps));
+    EXPECT_EQ(epochs[e].num("total_faults", -1),
+              static_cast<double>(rec.total_faults));
+  }
 }
 
 }  // namespace
