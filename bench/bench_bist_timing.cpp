@@ -11,7 +11,6 @@
 #include "obs/report.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trainer/timing_model.hpp"
-#include "util/env.hpp"
 #include "util/rng.hpp"
 #include "xbar/rcs.hpp"
 
@@ -40,10 +39,7 @@ int main() {
   // The denominator comes from the PipeLayer-style pipeline timing model
   // (CIFAR-scale epoch: 50k images streamed at the MVM initiation interval
   // plus per-batch row-by-row weight writes).
-  PipelineTimingConfig tcfg;
-  tcfg.images_per_epoch = static_cast<std::size_t>(
-      env_int("REMAPD_EPOCH_IMAGES", 50000));
-  const EpochTiming epoch = estimate_epoch_timing(tcfg);
+  const EpochTiming epoch = estimate_epoch_timing(PipelineTimingConfig{});
   std::printf("\nepoch timing model: %llu compute + %llu write = %llu ReRAM "
               "cycles (%.1f ms)\n",
               static_cast<unsigned long long>(epoch.compute_cycles),

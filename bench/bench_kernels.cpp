@@ -1,11 +1,11 @@
 // Microbenchmarks (google-benchmark) of the library's hot kernels: GEMM,
-// im2col, fault injection, analog column reads, BIST runs, fault-view
+// fault injection, analog column reads, BIST runs, fault-view
 // construction, and NoC cycle stepping. These bound the wall-clock cost of
 // the figure-reproduction benches.
 //
 // `--json PATH` switches to a handwritten micro-set covering the packed
 // GEMM kernel's three driver paths (NN/NT/TN at 256^3, with GFLOP/s), the
-// fused conv forward/backward, and im2col, at 1 and 4 threads with a
+// fused conv forward/backward, at 1 and 4 threads with a
 // bitwise cross-thread determinism verdict — the BENCH_kernels.json
 // perf-trajectory record that scripts/check_bench.py gates on, through the
 // "gates" object the record declares.
@@ -28,7 +28,6 @@
 #include "noc/network.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_kernel.hpp"
-#include "tensor/im2col.hpp"
 #include "util/parallel.hpp"
 #include "xbar/mapper.hpp"
 
@@ -51,18 +50,6 @@ void BM_Gemm(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * n * n * n));
 }
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_Im2Col(benchmark::State& state) {
-  ConvGeom g{8, 16, 16, 3, 3, 1, 1};
-  Rng rng(2);
-  Tensor img = Tensor::randn(Shape{8, 16, 16}, rng);
-  std::vector<float> col(g.col_rows() * g.col_cols());
-  for (auto _ : state) {
-    im2col(img.data(), g, col.data());
-    benchmark::DoNotOptimize(col.data());
-  }
-}
-BENCHMARK(BM_Im2Col);
 
 void BM_FaultInjection(benchmark::State& state) {
   Rng rng(3);
@@ -191,10 +178,6 @@ int run_json_microset(const std::string& json_path) {
   for (std::size_t i = 0; i < cdy.numel(); i += 97) cdy[i] = 1.0f;
   std::vector<float> conv_y, conv_dx;
 
-  const ConvGeom ig{8, 16, 16, 3, 3, 1, 1};
-  const Tensor img = Tensor::randn(Shape{8, 16, 16}, rng);
-  std::vector<float> col(ig.col_rows() * ig.col_cols());
-
   std::vector<Micro> micros;
   micros.push_back({"gemm_nn_256", cube_flops,
                     [&] {
@@ -231,13 +214,6 @@ int run_json_microset(const std::string& json_path) {
                       conv_dx.assign(dx.data(), dx.data() + dx.numel());
                     },
                     &conv_dx,
-                    {}});
-  micros.push_back({"im2col", 0.0,
-                    [&] {
-                      for (int r = 0; r < 64; ++r)
-                        im2col(img.data(), ig, col.data());
-                    },
-                    &col,
                     {}});
 
   std::vector<KernelPoint> points;

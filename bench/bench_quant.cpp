@@ -2,7 +2,7 @@
 // storage, measured against their fp32 baselines.
 //
 //   gemm      fp32 GemmAPack vs Int8APack on a 256^3 GEMM at 1 and 4
-//             threads (median of 3). The int8 path accumulates in exact
+//             threads (median of 9). The int8 path accumulates in exact
 //             int32, so its 1-vs-4-thread outputs must be byte-identical —
 //             that verdict, and the >= 2x single-thread speedup ordering,
 //             are what scripts/check_bench.py pins exactly. GFLOP/s floors
@@ -49,9 +49,13 @@ struct GemmPoint {
   double gflops = 0.0;
 };
 
+/// Repetitions per timed GEMM point: a median of 9 keeps one run slowed by
+/// a loaded shared host from tripping the wall gate.
+constexpr int kReps = 9;
+
 template <typename Fn>
-double median_ms_of_3(Fn&& fn) {
-  double t[3];
+double median_ms(Fn&& fn) {
+  double t[kReps];
   for (double& ti : t) {
     const auto t0 = std::chrono::steady_clock::now();
     fn();
@@ -59,8 +63,8 @@ double median_ms_of_3(Fn&& fn) {
              std::chrono::steady_clock::now() - t0)
              .count();
   }
-  std::sort(t, t + 3);
-  return t[1];
+  std::sort(t, t + kReps);
+  return t[kReps / 2];
 }
 
 GemmPoint bench_fp32(const std::vector<float>& a, const std::vector<float>& b,
@@ -68,7 +72,7 @@ GemmPoint bench_fp32(const std::vector<float>& a, const std::vector<float>& b,
   set_parallel_threads(static_cast<std::size_t>(threads));
   GemmAPack pack;
   GemmPoint p{"gemm-fp32-256", threads};
-  p.median_ms = median_ms_of_3([&] {
+  p.median_ms = median_ms([&] {
     pack.pack(kN, kN, 1.0f, StridedOperand{a.data(), kN, 1});
     pack.multiply(kN, b.data(), kN, 0.0f, c.data(), kN);
   });
@@ -82,7 +86,7 @@ GemmPoint bench_int8(const std::vector<float>& a, const std::vector<float>& b,
   Int8APack pack;
   GemmPoint p{"gemm-int8-256", threads};
   bool ok = true;
-  p.median_ms = median_ms_of_3([&] {
+  p.median_ms = median_ms([&] {
     pack.pack(kN, kN, StridedOperand{a.data(), kN, 1}, a_scale);
     ok = pack.multiply(kN, StridedOperand{b.data(), kN, 1}, c.data(), kN) &&
          ok;

@@ -9,9 +9,8 @@
 //   --fault-model NAME  saf|transient|ir-drop|saf+transient|saf+ir-drop|
 //                       ideal — scenario
 //                       preset (trainer/scenarios.hpp). Applied after every
-//                       other flag and env override so the SAF wear rate is
-//                       derived from the final epoch count; combine with
-//                       REMAPD_UPSET_RATE / REMAPD_WIRE_OHMS for sweeps.
+//                       other flag so the SAF wear rate is derived from the
+//                       final epoch count.
 //   --list-policies     print the policy registry and exit
 //   --list-fault-models print the fault-model registry and exit
 //   --dataset NAME      cifar10|cifar100|svhn
@@ -35,10 +34,14 @@
 //   --stop-after N      stop cleanly after N epochs (for interrupt tests)
 //   --resume PATH       restore a checkpoint and continue the run; the
 //                       other flags must match the interrupted leg exactly
+//
+// Flags are the only configuration: the REMAPD_EPOCHS / REMAPD_TRAIN /
+// REMAPD_TEST bench overrides are not read here. A numeric flag takes a
+// plain non-negative decimal; anything else exits 2 naming the flag.
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "obs/report.hpp"
@@ -46,6 +49,7 @@
 #include "trainer/fault_aware_trainer.hpp"
 #include "trainer/scenarios.hpp"
 #include "util/csv.hpp"
+#include "util/env.hpp"
 
 namespace {
 
@@ -71,6 +75,24 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(("missing value for " + flag).c_str());
       return argv[++i];
     };
+    auto uint_arg = [&]() -> std::uint64_t {
+      const char* v = next();
+      try {
+        return parse_uint(flag, v);
+      } catch (const std::runtime_error& e) {
+        usage(e.what());
+      }
+    };
+    auto nonneg_arg = [&]() -> double {
+      const char* v = next();
+      try {
+        return parse_nonneg(flag, v);
+      } catch (const std::runtime_error& e) {
+        usage(e.what());
+      }
+    };
+    auto count = [&] { return static_cast<std::size_t>(uint_arg()); };
+    auto percent = [&] { return nonneg_arg() / 100.0; };
     if (flag == "--list-policies") {
       for (const PolicySpec& s : policy_registry())
         std::printf("%-12s %s\n", s.name.c_str(), s.summary.c_str());
@@ -93,22 +115,22 @@ int main(int argc, char** argv) {
       else if (d == "svhn") cfg.data.kind = SynthKind::kSvhn;
       else usage("unknown dataset");
     } else if (flag == "--epochs") {
-      cfg.epochs = static_cast<std::size_t>(std::atoi(next()));
+      cfg.epochs = count();
     } else if (flag == "--train") {
-      cfg.data.train = static_cast<std::size_t>(std::atoi(next()));
+      cfg.data.train = count();
     } else if (flag == "--test") {
-      cfg.data.test = static_cast<std::size_t>(std::atoi(next()));
+      cfg.data.test = count();
     } else if (flag == "--seed") {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      cfg.seed = uint_arg();
     } else if (flag == "--ideal") {
       ideal = true;
     } else if (flag == "--pre-high") {
-      cfg.faults.high_density_hi = std::atof(next()) / 100.0;
+      cfg.faults.high_density_hi = percent();
       cfg.faults.high_density_lo = cfg.faults.high_density_hi * 0.4;
     } else if (flag == "--post-m") {
-      cfg.faults.post_cell_fraction = std::atof(next()) / 100.0;
+      cfg.faults.post_cell_fraction = percent();
     } else if (flag == "--post-n") {
-      cfg.faults.post_xbar_fraction = std::atof(next()) / 100.0;
+      cfg.faults.post_xbar_fraction = percent();
     } else if (flag == "--phase") {
       const std::string p = next();
       if (p == "all") cfg.fault_target = PhaseFaultTarget::kAll;
@@ -122,9 +144,9 @@ int main(int argc, char** argv) {
       else usage("unknown mapping");
     } else if (flag == "--cell-bits") {
       cfg.quant.enabled = true;
-      cfg.quant.cell_bits = static_cast<std::size_t>(std::atoi(next()));
+      cfg.quant.cell_bits = count();
     } else if (flag == "--quant-noise") {
-      cfg.quant.program_noise_sigma = std::atof(next());
+      cfg.quant.program_noise_sigma = nonneg_arg();
     } else if (flag == "--int8") {
       cfg.quant.int8_gemm = true;
     } else if (flag == "--csv") {
@@ -133,9 +155,9 @@ int main(int argc, char** argv) {
       cfg.checkpoint_path = next();
       if (cfg.checkpoint_every == 0) cfg.checkpoint_every = 1;
     } else if (flag == "--checkpoint-every") {
-      cfg.checkpoint_every = static_cast<std::size_t>(std::atoi(next()));
+      cfg.checkpoint_every = count();
     } else if (flag == "--stop-after") {
-      cfg.stop_after_epochs = static_cast<std::size_t>(std::atoi(next()));
+      cfg.stop_after_epochs = count();
     } else if (flag == "--resume") {
       cfg.resume_from = next();
     } else {
@@ -150,7 +172,6 @@ int main(int argc, char** argv) {
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   }
-  apply_env_overrides(cfg);
   if (!fault_model.empty()) {
     try {
       apply_fault_model(cfg, fault_model);

@@ -131,7 +131,7 @@ FaultView AnCodePolicy::filter_view(std::size_t layer, Phase phase,
   for (TaskId t = 0; t < mapper.num_tasks(); ++t) {
     const WeightBlock& blk = mapper.task(t);
     if (blk.layer != layer || blk.phase != phase) continue;
-    if (ctx.density->density(mapper.xbar_of(t)) <= capability_)
+    if (ctx.density->density(mapper.xbar_of(t)) <= kCapability)
       corrected.push_back(&blk);
   }
 

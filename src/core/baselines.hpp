@@ -68,8 +68,9 @@ class RemapTopN final : public RemapPolicy {
 /// wear-out accumulation) defeats the code (§IV.C).
 class AnCodePolicy final : public RemapPolicy {
  public:
-  explicit AnCodePolicy(double correctable_density = 0.001)
-      : capability_(correctable_density) {}
+  /// Max crossbar fault density the code corrects (DESIGN §3 item 5).
+  static constexpr double kCapability = 0.001;
+
   [[nodiscard]] std::string name() const override { return "an-code"; }
   [[nodiscard]] FaultView filter_view(std::size_t layer, Phase phase,
                                       FaultView view,
@@ -77,9 +78,6 @@ class AnCodePolicy final : public RemapPolicy {
   [[nodiscard]] double area_overhead_percent() const override {
     return 6.3;  // reported by [10]
   }
-
- private:
-  double capability_;  ///< max crossbar fault density the code corrects
 };
 
 }  // namespace remapd

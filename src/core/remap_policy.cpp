@@ -5,7 +5,6 @@
 #include "core/baselines.hpp"
 #include "core/remap_d.hpp"
 #include "core/scenario_policies.hpp"
-#include "util/env.hpp"
 
 namespace remapd {
 
@@ -15,19 +14,11 @@ PolicyPtr make_policy(const std::string& name) {
   if (name == "remap-ws") return std::make_unique<RemapWS>();
   if (name == "remap-t-5") return std::make_unique<RemapTopN>(0.05);
   if (name == "remap-t-10") return std::make_unique<RemapTopN>(0.10);
-  if (name == "an-code")
-    return std::make_unique<AnCodePolicy>(
-        env_double_nonneg("REMAPD_ANCODE_CAP", 0.001));
+  if (name == "an-code") return std::make_unique<AnCodePolicy>();
   if (name == "none") return std::make_unique<NoProtection>();
-  if (name == "refresh") {
-    DetectAndRefresh::Config cfg;
-    cfg.interval = env_size("REMAPD_REFRESH_EVERY", 1);
-    return std::make_unique<DetectAndRefresh>(cfg);
-  }
+  if (name == "refresh") return std::make_unique<DetectAndRefresh>();
   if (name == "xchangr") return std::make_unique<XChangrMapping>();
-  if (name == "drop-connect")
-    return std::make_unique<DropConnect>(
-        env_double_nonneg("REMAPD_DROP_FRACTION", 0.05));
+  if (name == "drop-connect") return std::make_unique<DropConnect>();
   throw std::invalid_argument("make_policy: unknown policy " + name);
 }
 
@@ -41,14 +32,13 @@ const std::vector<PolicySpec>& policy_registry() {
       {"an-code", "AN-code ECC output correction [10]"},
       {"none", "unprotected training"},
       {"refresh",
-       "detect-and-refresh of transient upsets every REMAPD_REFRESH_EVERY "
-       "epochs (arXiv:2412.03089)"},
+       "detect-and-refresh of transient upsets every epoch "
+       "(arXiv:2412.03089)"},
       {"xchangr",
        "alternating line drive flattening the IR-drop gain field "
        "(arXiv:1907.00285)"},
       {"drop-connect",
-       "drop-connect training, REMAPD_DROP_FRACTION of weights per epoch "
-       "(arXiv:2404.15498)"},
+       "drop-connect training, 5% of weights per epoch (arXiv:2404.15498)"},
   };
   return specs;
 }

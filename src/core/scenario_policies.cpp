@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <stdexcept>
 
 #include "xbar/transient.hpp"
 
@@ -10,18 +9,10 @@ namespace remapd {
 
 // ---------------------------------------------------------------- refresh
 
-DetectAndRefresh::DetectAndRefresh() : DetectAndRefresh(Config{}) {}
-
-DetectAndRefresh::DetectAndRefresh(Config cfg) : cfg_(cfg) {
-  if (cfg_.interval == 0)
-    throw std::invalid_argument("DetectAndRefresh: interval must be >= 1");
-}
-
 void DetectAndRefresh::on_epoch_end(PolicyContext& ctx) {
   last_cycles_ = 0;
   last_refreshed_ = 0;
   if (!ctx.transients || !ctx.mapper) return;
-  if ((ctx.epoch + 1) % cfg_.interval != 0) return;
 
   Rcs& rcs = ctx.mapper->rcs();
   const std::uint64_t rows = rcs.config().xbar_rows;
@@ -31,7 +22,7 @@ void DetectAndRefresh::on_epoch_end(PolicyContext& ctx) {
     // Detection: verify-read every row against its expected image. This
     // runs whether or not anything drifted — detection is the standing
     // cost of the policy, paid on every refresh round.
-    last_cycles_ += rows * cfg_.verify_cycles_per_row;
+    last_cycles_ += rows * kVerifyCyclesPerRow;
 
     const auto& upsets = ctx.transients->upsets_of(x);
     if (upsets.empty()) continue;
@@ -42,7 +33,7 @@ void DetectAndRefresh::on_epoch_end(PolicyContext& ctx) {
     for (const UpsetCell& u : upsets) drifted_rows.insert(u.cell / cols);
     last_cycles_ +=
         static_cast<std::uint64_t>(drifted_rows.size()) *
-        cfg_.rewrite_cycles_per_row;
+        kRewriteCyclesPerRow;
     // A refresh rewrite stresses the array like any other write pass:
     // fighting transients accelerates endurance wear-out (§14 trade-off).
     rcs.crossbar(x).record_array_write();
@@ -76,12 +67,6 @@ void XChangrMapping::on_training_start(PolicyContext& ctx) {
 
 // ----------------------------------------------------------- drop-connect
 
-DropConnect::DropConnect(double fraction) : fraction_(fraction) {
-  if (fraction_ < 0.0 || fraction_ >= 1.0)
-    throw std::invalid_argument(
-        "DropConnect: fraction must be in [0, 1)");
-}
-
 void DropConnect::on_training_start(PolicyContext& ctx) {
   // One draw from the trainer stream seeds every mask of the run; the
   // per-(epoch, layer) masks are derived statelessly from it so
@@ -95,11 +80,11 @@ FaultView DropConnect::filter_view(std::size_t layer, Phase phase,
                                    FaultView view,
                                    const PolicyContext& ctx) {
   (void)phase;  // forward and backward drop the same logical weights
-  if (!seeded_ || fraction_ <= 0.0 || !ctx.mapper) return view;
+  if (!seeded_ || !ctx.mapper) return view;
   const auto& dims = ctx.mapper->layer_dims(layer);
   const std::size_t n = dims.first * dims.second;
   const std::size_t k =
-      static_cast<std::size_t>(fraction_ * static_cast<double>(n));
+      static_cast<std::size_t>(kFraction * static_cast<double>(n));
   if (k == 0) return view;
 
   Rng mask_rng(

@@ -3,7 +3,7 @@
 //
 //   refresh       online detect-and-refresh of transient conductance
 //                 upsets (Khezeli & Zarandi, arXiv:2412.03089): every
-//                 `interval` epochs, each mapped crossbar is verify-read
+//                 epoch, each mapped crossbar is verify-read
 //                 row by row against its expected contents and drifted
 //                 rows are rewritten. Cost is charged in ReRAM cycles
 //                 (last_extra_cycles) and rewrites count against the
@@ -16,7 +16,7 @@
 //                 field to a benign uniform scale. Needs IR-drop to be
 //                 modelled to differ from "none".
 //   drop-connect  drop-connect fault-tolerance training (arXiv:2404.15498):
-//                 a deterministic per-epoch rotating fraction of each
+//                 a deterministic per-epoch rotating 5 % of each
 //                 layer's weights is disconnected (reads as zero, gets no
 //                 gradient), training redundancy into the network instead
 //                 of repairing hardware. Remap-free: never swaps a task.
@@ -29,17 +29,11 @@ namespace remapd {
 /// Detect-and-refresh of transient upsets ("refresh").
 class DetectAndRefresh final : public RemapPolicy {
  public:
-  struct Config {
-    std::size_t interval = 1;  ///< refresh every N epochs (>= 1)
-    /// Verify read of one row (column-parallel compare against the
-    /// expected image — same per-row cost class as a BIST march element).
-    std::uint64_t verify_cycles_per_row = 1;
-    /// Rewrite of one drifted row (program pulses are slower than reads).
-    std::uint64_t rewrite_cycles_per_row = 4;
-  };
-
-  DetectAndRefresh();  // default Config
-  explicit DetectAndRefresh(Config cfg);
+  /// Verify read of one row (column-parallel compare against the expected
+  /// image — same per-row cost class as a BIST march element).
+  static constexpr std::uint64_t kVerifyCyclesPerRow = 1;
+  /// Rewrite of one drifted row (program pulses are slower than reads).
+  static constexpr std::uint64_t kRewriteCyclesPerRow = 4;
 
   [[nodiscard]] std::string name() const override { return "refresh"; }
   void on_epoch_end(PolicyContext& ctx) override;
@@ -61,7 +55,6 @@ class DetectAndRefresh final : public RemapPolicy {
   }
 
  private:
-  Config cfg_;
   std::uint64_t last_cycles_ = 0;
   std::size_t last_refreshed_ = 0;
   std::uint64_t total_cycles_ = 0;
@@ -78,7 +71,8 @@ class XChangrMapping final : public RemapPolicy {
 /// Drop-connect fault-tolerance training ("drop-connect").
 class DropConnect final : public RemapPolicy {
  public:
-  explicit DropConnect(double fraction = 0.05);
+  /// Share of each layer's weights disconnected per epoch.
+  static constexpr double kFraction = 0.05;
 
   [[nodiscard]] std::string name() const override { return "drop-connect"; }
   void on_training_start(PolicyContext& ctx) override;
@@ -93,7 +87,6 @@ class DropConnect final : public RemapPolicy {
   void load_state(ckpt::ByteReader& r) override;
 
  private:
-  double fraction_;
   bool seeded_ = false;
   std::uint64_t base_seed_ = 0;
 };

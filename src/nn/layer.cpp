@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "util/env.hpp"
-
 // Layer is an interface; its virtual destructor anchor lives here so the
 // vtable is emitted once.
 
@@ -13,9 +11,8 @@ void apply_gradient_pinning(const std::optional<FaultView>& view,
                             Tensor& grad) {
   if (!view || view->empty()) return;
   // Severity of a stuck backward-array cell relative to the healthy
-  // gradient scale (REMAPD_GRAD_PIN overrides for ablations).
-  static const float kappa =
-      static_cast<float>(env_double_nonneg("REMAPD_GRAD_PIN", 12.0));
+  // gradient scale.
+  constexpr float kappa = 12.0f;
 
   // The reference scale is the RMS of the *healthy* gradient components.
   // Clamped positions are excluded: their pre-pinning gradients are the

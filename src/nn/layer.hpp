@@ -81,7 +81,7 @@ using LayerPtr = std::unique_ptr<Layer>;
 /// backward array. The pinned value has the fault's sign (SA1 -> +, SA0 ->
 /// -) and a magnitude of `kappa` times the gradient RMS of the layer — the
 /// full-scale output of a stuck column relative to the healthy MVM range.
-/// `kappa` defaults to REMAPD_GRAD_PIN (12): large enough that pinned
+/// `kappa` is fixed at 12 (DESIGN §3): large enough that pinned
 /// positions drift decisively, small enough that the healthy-gradient
 /// pull-back equilibrates once the fault is remapped away.
 void apply_gradient_pinning(const std::optional<FaultView>& view,

@@ -13,10 +13,8 @@
 namespace remapd {
 namespace {
 
-/// Conductance full-scale as a multiple of the layer weight RMS
-/// (REMAPD_WMAX_RMS overrides for ablation studies).
-const float kFullScaleRms = static_cast<float>(
-    env_double_nonneg("REMAPD_WMAX_RMS", 4.0));
+/// Conductance full-scale as a multiple of the layer weight RMS.
+constexpr float kFullScaleRms = 4.0f;
 
 /// Domain tag separating the stochastic programmer's seed stream from every
 /// other derive_seed consumer of cfg.seed.

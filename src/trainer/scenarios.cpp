@@ -2,34 +2,32 @@
 
 #include <stdexcept>
 
-#include "util/env.hpp"
-
 namespace remapd {
 namespace {
+
+// Per-crossbar Poisson mean, as a fraction of cells per epoch. Calibrated so
+// an unrefreshed run accumulates a few percent of drifted cells over a short
+// (6-8 epoch) compressed training — the same exposure class as the SAF
+// scenario's wear-out accumulation.
+constexpr double kUpsetRate = 0.004;
+
+// Per-segment wire resistance (Ω). Under single-sided drive at the default
+// 32x32 arrays the calibrated gain (xbar/ir_drop.hpp) spreads from ~1.5x at
+// the driven corner to ~0.5x at the far corner at this value — a distortion
+// that visibly degrades training but doesn't destroy it.
+constexpr double kWireOhmsPerCell = 40.0;
 
 TransientScenario default_transients() {
   TransientScenario t;
   t.enabled = true;
-  // Per-crossbar Poisson mean, as a fraction of cells per epoch. The
-  // default is calibrated so an unrefreshed run accumulates a few percent
-  // of drifted cells over a short (6-8 epoch) compressed training — the
-  // same exposure class as the SAF scenario's wear-out accumulation.
-  // REMAPD_UPSET_RATE overrides for sweeps; the value lands in the config
-  // fingerprint either way.
-  t.upset_rate = env_double_nonneg("REMAPD_UPSET_RATE", 0.004);
+  t.upset_rate = kUpsetRate;
   t.toward_on_fraction = 0.5;
   return t;
 }
 
 IrDropConfig default_ir_drop() {
   IrDropConfig ir;
-  // Per-segment wire resistance. Under single-sided drive at the default
-  // 32x32 arrays the calibrated gain (xbar/ir_drop.hpp) spreads from
-  // ~1.5x at the driven corner to ~0.5x at the far corner at this value —
-  // a distortion that visibly degrades training but doesn't destroy it.
-  // REMAPD_WIRE_OHMS overrides for sweeps (fingerprinted via the config
-  // field).
-  ir.wire_ohms_per_cell = env_double_nonneg("REMAPD_WIRE_OHMS", 40.0);
+  ir.wire_ohms_per_cell = kWireOhmsPerCell;
   return ir;
 }
 

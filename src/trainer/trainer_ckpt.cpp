@@ -38,7 +38,6 @@
 #include "nn/batchnorm.hpp"
 #include "telemetry/export.hpp"
 #include "trainer/fault_aware_trainer.hpp"
-#include "util/env.hpp"
 
 namespace remapd {
 namespace {
@@ -152,19 +151,8 @@ FaultAwareTrainer::config_fingerprint() const {
   p.emplace_back("saturate_weights", fmt_b(cfg_.saturate_weights));
   p.emplace_back("seed", std::to_string(cfg_.seed));
   p.emplace_back("use_bist", fmt_b(cfg_.use_bist_estimates));
-  // Env knobs that alter the faulted arithmetic itself (REMAPD_THREADS is
-  // deliberately absent: results are bitwise thread-count-invariant).
-  p.emplace_back("env.wmax_rms", fmt_f(env_double_nonneg("REMAPD_WMAX_RMS",
-                                                         4.0)));
-  p.emplace_back("env.grad_pin", fmt_f(env_double_nonneg("REMAPD_GRAD_PIN",
-                                                         12.0)));
-  // Policy knobs that shape the trajectory when their policy is active
-  // (harmless constants otherwise, but fingerprinting them unconditionally
-  // keeps the field list fixed).
-  p.emplace_back("env.refresh_every",
-                 std::to_string(env_size("REMAPD_REFRESH_EVERY", 1)));
-  p.emplace_back("env.drop_fraction",
-                 fmt_f(env_double_nonneg("REMAPD_DROP_FRACTION", 0.05)));
+  // No environment variable alters the arithmetic (REMAPD_THREADS cannot:
+  // results are bitwise thread-count-invariant), so none is fingerprinted.
   return p;
 }
 

@@ -385,5 +385,57 @@ TEST(CheckpointResume, ConfigMismatchIsNamed) {
   std::remove(path.c_str());
 }
 
+// The fingerprint holds config fields only: no environment variable alters
+// the arithmetic. A checkpoint from a build that still fingerprinted four
+// env.* knobs is refused on its field count, before any field compares.
+TEST(CheckpointResume, EnvFingerprintFieldsAreRefusedByCount) {
+  TrainerConfig cfg = resume_cfg();
+  cfg.epochs = 1;
+  cfg.faults = FaultScenario::ideal();
+  FaultAwareTrainer trainer(cfg);
+  trainer.run();
+  const std::string image = trainer.save_checkpoint_bytes();
+  const auto reader = ckpt::CheckpointReader::from_bytes(image);
+
+  ckpt::ByteReader r = reader.open("config");
+  auto pairs = ckpt::load_string_pairs(r);
+  const std::size_t fields = pairs.size();
+  for (const auto& [name, value] : pairs)
+    EXPECT_NE(name.rfind("env.", 0), 0u) << name << "=" << value;
+
+  // Re-assemble the image with the four pairs the old fingerprint carried.
+  pairs.emplace_back("env.wmax_rms", "4");
+  pairs.emplace_back("env.grad_pin", "12");
+  pairs.emplace_back("env.refresh_every", "1");
+  pairs.emplace_back("env.drop_fraction", "0.050000000000000003");
+  ckpt::CheckpointWriter w;
+  for (const ckpt::SectionInfo& sec : reader.sections()) {
+    ckpt::ByteWriter& out = w.section(sec.name);
+    if (sec.name == "config") {
+      ckpt::save_string_pairs(out, pairs);
+      continue;
+    }
+    for (std::uint64_t i = 0; i < sec.size; ++i)
+      out.u8(static_cast<std::uint8_t>(image[sec.offset + i]));
+  }
+  const std::string old_image = w.serialize();
+
+  // Control: the untouched copy restores, so only the config differs.
+  FaultAwareTrainer(cfg).restore_from_bytes(image);
+  try {
+    FaultAwareTrainer(cfg).restore_from_bytes(old_image);
+    FAIL() << "a fingerprint with env.* fields was accepted";
+  } catch (const ckpt::CheckpointError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("config fingerprint has " +
+                       std::to_string(fields + 4) + " fields"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("expects " + std::to_string(fields)),
+              std::string::npos)
+        << msg;
+  }
+}
+
 }  // namespace
 }  // namespace remapd

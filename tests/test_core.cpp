@@ -315,7 +315,7 @@ TEST_F(PolicyTest, AnCodeCorrectsOnlyLowDensityCrossbars) {
   set_density(0, 0.0);    // within capability -> corrected
   set_density(1, 0.05);   // beyond capability -> kept
 
-  AnCodePolicy policy(0.001);
+  AnCodePolicy policy;
   PolicyContext ctx = context();
   FaultView filtered =
       policy.filter_view(0, Phase::kForward, make_view({0, 40}), ctx);

@@ -171,39 +171,25 @@ TEST(Csv, BadPathThrows) {
 
 // --------------------------------------------------------------------- Env
 
-TEST(Env, IntParsingAndFallback) {
-  setenv("REMAPD_TEST_INT", "123", 1);
-  EXPECT_EQ(env_int("REMAPD_TEST_INT", 7), 123);
-  unsetenv("REMAPD_TEST_INT");
-  EXPECT_EQ(env_int("REMAPD_TEST_INT", 7), 7);
-}
-
 // A set-but-malformed value is a user error that must fail loudly, not be
 // silently replaced by the default.
 TEST(Env, MalformedValuesThrow) {
-  setenv("REMAPD_TEST_INT", "not-a-number", 1);
-  EXPECT_THROW(env_int("REMAPD_TEST_INT", 7), std::runtime_error);
-  setenv("REMAPD_TEST_INT", "12abc", 1);
-  EXPECT_THROW(env_int("REMAPD_TEST_INT", 7), std::runtime_error);
-  setenv("REMAPD_TEST_INT", "", 1);
-  EXPECT_THROW(env_int("REMAPD_TEST_INT", 7), std::runtime_error);
-  unsetenv("REMAPD_TEST_INT");
-
-  setenv("REMAPD_TEST_D", "one.five", 1);
-  EXPECT_THROW(env_double("REMAPD_TEST_D", 1.0), std::runtime_error);
-  unsetenv("REMAPD_TEST_D");
+  for (const char* bad : {"not-a-number", "12abc", "", " 8", "+8", "0x10"}) {
+    setenv("REMAPD_TEST_SZ", bad, 1);
+    EXPECT_THROW(env_size("REMAPD_TEST_SZ", 3), std::runtime_error) << bad;
+  }
 
   // The error message names the variable and the offending value.
-  setenv("REMAPD_TEST_INT", "nope", 1);
+  setenv("REMAPD_TEST_SZ", "nope", 1);
   try {
-    env_int("REMAPD_TEST_INT", 7);
+    env_size("REMAPD_TEST_SZ", 3);
     FAIL() << "expected a throw";
   } catch (const std::runtime_error& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("REMAPD_TEST_INT"), std::string::npos);
+    EXPECT_NE(msg.find("REMAPD_TEST_SZ"), std::string::npos);
     EXPECT_NE(msg.find("nope"), std::string::npos);
   }
-  unsetenv("REMAPD_TEST_INT");
+  unsetenv("REMAPD_TEST_SZ");
 }
 
 TEST(Env, SizeRejectsNegative) {
@@ -215,23 +201,49 @@ TEST(Env, SizeRejectsNegative) {
   EXPECT_EQ(env_size("REMAPD_TEST_SZ", 3), 3u);
 }
 
-TEST(Env, DoubleNonNegRejectsNegative) {
-  setenv("REMAPD_TEST_D", "2.5", 1);
-  EXPECT_DOUBLE_EQ(env_double_nonneg("REMAPD_TEST_D", 1.0), 2.5);
-  setenv("REMAPD_TEST_D", "-0.5", 1);
-  EXPECT_THROW(env_double_nonneg("REMAPD_TEST_D", 1.0), std::runtime_error);
-  unsetenv("REMAPD_TEST_D");
-}
-
-TEST(Env, DoubleAndString) {
-  setenv("REMAPD_TEST_D", "2.5", 1);
-  EXPECT_DOUBLE_EQ(env_double("REMAPD_TEST_D", 1.0), 2.5);
-  unsetenv("REMAPD_TEST_D");
-  EXPECT_DOUBLE_EQ(env_double("REMAPD_TEST_D", 1.0), 1.0);
+TEST(Env, StringAndFallback) {
   setenv("REMAPD_TEST_S", "hello", 1);
   EXPECT_EQ(env_str("REMAPD_TEST_S", "d"), "hello");
   unsetenv("REMAPD_TEST_S");
   EXPECT_EQ(env_str("REMAPD_TEST_S", "d"), "d");
+}
+
+// The parsers behind every numeric env var and CLI flag: the whole string
+// must be the number, and an error names its source and the text.
+TEST(Env, ParseUintIsStrict) {
+  EXPECT_EQ(parse_uint("--epochs", "0"), 0u);
+  EXPECT_EQ(parse_uint("--epochs", "18446744073709551615"),
+            18446744073709551615ull);
+  EXPECT_EQ(parse_uint("--serve", "65535", 65535), 65535u);
+  for (const char* bad : {"", "abc", "-5", "+5", " 5", "5 ", "5x", "1.5",
+                          "18446744073709551616"})
+    EXPECT_THROW(parse_uint("--epochs", bad), std::runtime_error) << bad;
+  try {
+    parse_uint("--serve", "70000", 65535);
+    FAIL() << "70000 accepted as a port";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("--serve"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("70000"), std::string::npos) << msg;
+  }
+}
+
+TEST(Env, ParseNonnegIsStrict) {
+  EXPECT_DOUBLE_EQ(parse_nonneg("--post-m", "0"), 0.0);
+  EXPECT_DOUBLE_EQ(parse_nonneg("--post-m", "2.5"), 2.5);
+  EXPECT_DOUBLE_EQ(parse_nonneg("--post-m", ".5"), 0.5);
+  EXPECT_DOUBLE_EQ(parse_nonneg("--post-m", "1e-3"), 1e-3);
+  for (const char* bad : {"", "abc", "-0.5", "+1", " 1", "1 ", "1.5x", "nan",
+                          "inf", "0x1p3", "1e999"})
+    EXPECT_THROW(parse_nonneg("--post-m", bad), std::runtime_error) << bad;
+  try {
+    parse_nonneg("--quant-noise", "one");
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("--quant-noise"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("one"), std::string::npos) << msg;
+  }
 }
 
 // --------------------------------------------------------------------- Log

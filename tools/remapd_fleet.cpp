@@ -30,8 +30,9 @@
 //                       run. Implies telemetry collection.
 //   --verbose           per-step scheduler log on stderr
 //
+// Numeric flags take a plain non-negative decimal (PORT at most 65535).
 // Exit codes: 0 all jobs completed, 1 some job failed/rejected, 2 bad
-// usage or unreadable job file.
+// usage (a malformed flag value included) or unreadable job file.
 
 #include <atomic>
 #include <chrono>
@@ -39,6 +40,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -48,6 +51,7 @@
 #include "obs/http_server.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/csv.hpp"
+#include "util/env.hpp"
 
 namespace {
 
@@ -82,36 +86,56 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage("missing value for " + flag);
       return argv[++i];
     };
+    auto uint_arg = [&](std::uint64_t max) -> std::uint64_t {
+      const char* v = next();
+      try {
+        return parse_uint(flag, v, max);
+      } catch (const std::runtime_error& e) {
+        usage(e.what());
+      }
+    };
+    auto nonneg_arg = [&]() -> double {
+      const char* v = next();
+      try {
+        return parse_nonneg(flag, v);
+      } catch (const std::runtime_error& e) {
+        usage(e.what());
+      }
+    };
+    auto count = [&] {
+      return static_cast<std::size_t>(
+          uint_arg(std::numeric_limits<std::size_t>::max()));
+    };
     if (flag == "--jobs") {
       jobs_path = next();
     } else if (flag == "--chips") {
-      chips = static_cast<std::size_t>(std::atoi(next()));
+      chips = count();
     } else if (flag == "--sched") {
       sched.policy = fleet::sched_policy_from(next());
     } else if (flag == "--slice") {
-      sched.slice_epochs = static_cast<std::size_t>(std::atoi(next()));
+      sched.slice_epochs = count();
     } else if (flag == "--max-queued") {
-      sched.max_queued = static_cast<std::size_t>(std::atoi(next()));
+      sched.max_queued = count();
     } else if (flag == "--migrate-below") {
-      sched.migrate_below = std::atof(next());
+      sched.migrate_below = nonneg_arg();
     } else if (flag == "--chip-native") {
-      chip_base.native_fault_density = std::atof(next()) / 100.0;
+      chip_base.native_fault_density = nonneg_arg() / 100.0;
     } else if (flag == "--chip-wear-n") {
-      chip_base.wear_xbar_fraction = std::atof(next()) / 100.0;
+      chip_base.wear_xbar_fraction = nonneg_arg() / 100.0;
     } else if (flag == "--chip-wear-m") {
-      chip_base.wear_cell_fraction = std::atof(next()) / 100.0;
+      chip_base.wear_cell_fraction = nonneg_arg() / 100.0;
     } else if (flag == "--chip-seed") {
-      chip_base.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      chip_base.seed =
+          uint_arg(std::numeric_limits<std::uint64_t>::max());
     } else if (flag == "--force-migrate-at") {
-      sched.force_migrate_at_epoch =
-          static_cast<std::size_t>(std::atoi(next()));
+      sched.force_migrate_at_epoch = count();
     } else if (flag == "--csv") {
       csv_path = next();
     } else if (flag == "--summary-json") {
       summary_json_path = next();
     } else if (flag == "--serve") {
       serve = true;
-      serve_port = static_cast<std::uint16_t>(std::atoi(next()));
+      serve_port = static_cast<std::uint16_t>(uint_arg(65535));
     } else if (flag == "--verbose") {
       sched.verbose = true;
     } else {

@@ -5,7 +5,7 @@
 //                   [--plain]
 //   --host H         daemon host (default 127.0.0.1)
 //   --port P         daemon port (default 8787)
-//   --interval-ms N  poll period (default 1000)
+//   --interval-ms N  poll period (default 1000; 50 to 86400000)
 //   --once           print one snapshot and exit (no screen control)
 //   --plain          never emit ANSI clear/home (implied by --once)
 //
@@ -24,9 +24,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
+#include "util/env.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -180,7 +182,16 @@ int main(int argc, char** argv) {
     };
     if (flag == "--host") host = next();
     else if (flag == "--port") port = next();
-    else if (flag == "--interval-ms") interval_ms = std::atol(next());
+    else if (flag == "--interval-ms") {
+      const char* v = next();
+      try {
+        interval_ms = static_cast<long>(
+            remapd::parse_uint(flag, v, 86'400'000));  // at most one day
+      } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "remapd_top: %s\n", e.what());
+        return 2;
+      }
+    }
     else if (flag == "--once") once = true;
     else if (flag == "--plain") plain = true;
     else {
