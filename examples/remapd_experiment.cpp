@@ -3,7 +3,9 @@
 // configurations beyond the prebuilt figure benches.
 //
 // Usage: remapd_experiment [--flag value]...
-//   --model NAME        vgg11|vgg16|vgg19|resnet12|resnet18|squeezenet
+//   --model NAME        vgg11|vgg16|vgg19|resnet12|resnet18|squeezenet —
+//                       the base config; applied before every other flag,
+//                       wherever it appears
 //   --policy NAME       none|an-code|static|remap-ws|remap-t-5|remap-t-10|
 //                       remap-d|refresh|xchangr|drop-connect
 //   --fault-model NAME  saf|transient|ir-drop|saf+transient|saf+ir-drop|
@@ -63,7 +65,12 @@ using namespace remapd;
 }  // namespace
 
 int main(int argc, char** argv) {
-  TrainerConfig cfg = recommended_config("resnet12");
+  // --model picks the base config, so it applies first wherever it
+  // appears; every other flag then edits that config in order.
+  std::string model = "resnet12";
+  for (int i = 1; i + 1 < argc; ++i)
+    if (std::string(argv[i]) == "--model") model = argv[++i];
+  TrainerConfig cfg = recommended_config(model);
   cfg.faults = FaultScenario::paper_default_compressed(cfg.epochs);
   std::string csv_path;
   std::string fault_model;
@@ -104,8 +111,7 @@ int main(int argc, char** argv) {
     } else if (flag == "--fault-model") {
       fault_model = next();  // applied last, once epochs are final
     } else if (flag == "--model") {
-      cfg = recommended_config(next());
-      cfg.faults = FaultScenario::paper_default_compressed(cfg.epochs);
+      next();  // applied before the loop
     } else if (flag == "--policy") {
       cfg.policy = next();
     } else if (flag == "--dataset") {

@@ -42,9 +42,11 @@ Tensor BatchNorm::forward(const Tensor& x, bool train) {
     throw std::invalid_argument(tag_ + ": channel mismatch");
   const std::size_t count = g.n * g.spatial;
 
-  Tensor y(x.shape());
+  // Every element of y (and of xhat_ in training) is written below.
+  Tensor y = Tensor::uninitialized(x.shape());
   if (train) {
-    xhat_ = Tensor::zeros(x.shape());
+    if (!(xhat_.shape() == x.shape()))
+      xhat_ = Tensor::uninitialized(x.shape());
     batch_inv_std_.assign(channels_, 0.0f);
     input_shape_ = x.shape();
   }
@@ -112,7 +114,7 @@ Tensor BatchNorm::backward(const Tensor& dy) {
   const auto g = geom_of(input_shape_);
   const auto count = static_cast<float>(g.n * g.spatial);
 
-  Tensor dx(input_shape_);
+  Tensor dx = Tensor::uninitialized(input_shape_);
   for (std::size_t ch = 0; ch < channels_; ++ch) {
     // Standard BN backward:
     // dx = gamma*inv_std/count * (count*dy - sum(dy) - xhat*sum(dy*xhat))

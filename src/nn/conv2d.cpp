@@ -134,7 +134,8 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   const std::size_t oh = g.out_h(), ow = g.out_w();
   const std::size_t in_plane = in_ch_ * g.height * g.width;
 
-  Tensor y(Shape{n, out_ch_, oh, ow});
+  // The scatter below writes every element of y.
+  Tensor y = Tensor::uninitialized(Shape{n, out_ch_, oh, ow});
   // Eval-mode forwards may run concurrently (parallel test-set batches), so
   // the clamped-weight cache member and the packed panel member are only
   // written on the single-threaded training path; eval uses a call-local
@@ -247,7 +248,8 @@ Tensor Conv2d::backward(const Tensor& dy) {
   // Parameter gradients are accumulated digitally: the weight-update path
   // in the target RCS aggregates dW in CMOS peripherals; only the analog
   // MVMs (forward y = W*x, backward dx = W^T*dy) traverse faulty crossbars.
-  Tensor dx(Shape{n, in_ch_, g.height, g.width});
+  // crop_image writes every element of dx.
+  Tensor dx = Tensor::uninitialized(Shape{n, in_ch_, g.height, g.width});
   const Tensor& wb = effective_weights(bwd_view_, bwd_eff_);
   // Fused path: pack We_bwd^T once (strides express the transpose — no
   // transposed copy is ever materialized) and reuse across all blocks.

@@ -1,5 +1,6 @@
 #include "tensor/gemm_kernel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <stdexcept>
@@ -35,17 +36,21 @@ thread_local Arena t_bpack_arena;
 constexpr std::size_t kTile = kMR * kNR;
 
 // ---------------------------------------------------------------------------
-// Micro-kernels: full kMR x kNR tile over one packed depth chunk, written to
-// an aligned tile buffer (the merge step handles tails and C update). The
-// per-lane accumulation is strictly ascending in k, so every C element's FP
-// order is independent of tiling, partitioning, and thread count.
+// Micro-kernels: a full kMR x kNR tile over one packed depth chunk, kept in
+// registers and written straight into C (leading dimension ldc). `store`
+// marks the first chunk of a beta == 0 product: the kernel writes
+// 0.0f + acc without reading C (the add turns an accumulator that underflowed
+// to -0 into +0, as clearing C and then adding did); otherwise it updates
+// C += acc. The per-lane accumulation is strictly ascending in k, so every C
+// element's FP order is independent of tiling, partitioning, and thread
+// count.
 // ---------------------------------------------------------------------------
 
 using MicroFn = void (*)(std::size_t kc, const float* ap, const float* bp,
-                         float* tile);
+                         float* c, std::size_t ldc, bool store);
 
 void micro_portable(std::size_t kc, const float* ap, const float* bp,
-                    float* tile) {
+                    float* c, std::size_t ldc, bool store) {
   float acc[kTile] = {0.0f};
   for (std::size_t p = 0; p < kc; ++p) {
     const float* brow = bp + p * kNR;
@@ -60,30 +65,57 @@ void micro_portable(std::size_t kc, const float* ap, const float* bp,
         crow[j] = __builtin_fmaf(av, brow[j], crow[j]);
     }
   }
-  std::memcpy(tile, acc, sizeof(acc));
+  for (std::size_t r = 0; r < kMR; ++r) {
+    float* crow = c + r * ldc;
+    const float* arow = acc + r * kNR;
+    if (store) {
+#pragma omp simd
+      for (std::size_t j = 0; j < kNR; ++j) crow[j] = 0.0f + arow[j];
+    } else {
+#pragma omp simd
+      for (std::size_t j = 0; j < kNR; ++j) crow[j] += arow[j];
+    }
+  }
 }
 
 #ifdef REMAPD_GEMM_X86_DISPATCH
+// The unrolled kMR loops keep the 12 accumulators in YMM registers; rolled,
+// GCC at -O2 spills them to the stack on every depth step.
 __attribute__((target("avx2,fma"))) void micro_avx2(std::size_t kc,
                                                     const float* ap,
-                                                    const float* bp,
-                                                    float* tile) {
+                                                    const float* bp, float* c,
+                                                    std::size_t ldc,
+                                                    bool store) {
   __m256 acc[kMR][2];
+#pragma GCC unroll 6
   for (std::size_t r = 0; r < kMR; ++r)
     acc[r][0] = acc[r][1] = _mm256_setzero_ps();
   for (std::size_t p = 0; p < kc; ++p) {
     const __m256 b0 = _mm256_loadu_ps(bp + p * kNR);
     const __m256 b1 = _mm256_loadu_ps(bp + p * kNR + 8);
     const float* arow = ap + p * kMR;
+#pragma GCC unroll 6
     for (std::size_t r = 0; r < kMR; ++r) {
       const __m256 av = _mm256_broadcast_ss(arow + r);
       acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
       acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
     }
   }
+  if (store) {
+    const __m256 zero = _mm256_setzero_ps();
+#pragma GCC unroll 6
+    for (std::size_t r = 0; r < kMR; ++r) {
+      _mm256_storeu_ps(c + r * ldc, _mm256_add_ps(zero, acc[r][0]));
+      _mm256_storeu_ps(c + r * ldc + 8, _mm256_add_ps(zero, acc[r][1]));
+    }
+    return;
+  }
+#pragma GCC unroll 6
   for (std::size_t r = 0; r < kMR; ++r) {
-    _mm256_storeu_ps(tile + r * kNR, acc[r][0]);
-    _mm256_storeu_ps(tile + r * kNR + 8, acc[r][1]);
+    float* crow = c + r * ldc;
+    _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), acc[r][0]));
+    _mm256_storeu_ps(crow + 8,
+                     _mm256_add_ps(_mm256_loadu_ps(crow + 8), acc[r][1]));
   }
 }
 #endif
@@ -234,36 +266,39 @@ void pack_b_strip(std::size_t s, std::size_t pc, std::size_t kc,
 // Driver
 // ---------------------------------------------------------------------------
 
-/// Scale rows [r0, r1) x cols [j0, j1) of C by beta. beta == 0 stores zeros
-/// without reading (BLAS semantics: C may hold NaN/garbage).
+/// Scale rows [r0, r1) x cols [j0, j1) of C by a general beta (neither 0
+/// nor 1: the micro-kernel's store flag covers beta == 0, and beta == 1
+/// leaves C as it is).
 void scale_c(float beta, float* c, std::size_t ldc, std::size_t r0,
              std::size_t r1, std::size_t j0, std::size_t j1) {
-  if (beta == 1.0f) return;
   for (std::size_t i = r0; i < r1; ++i) {
     float* crow = c + i * ldc;
-    if (beta == 0.0f) {
-      for (std::size_t j = j0; j < j1; ++j) crow[j] = 0.0f;
+    for (std::size_t j = j0; j < j1; ++j) crow[j] *= beta;
+  }
+}
+
+/// Merge a tail tile's valid rows x cols region into C, with the
+/// micro-kernel's store semantics.
+void merge_tile(const float* tile, float* c, std::size_t ldc,
+                std::size_t rows, std::size_t cols, bool store) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* crow = c + r * ldc;
+    const float* trow = tile + r * kNR;
+    if (store) {
+#pragma omp simd
+      for (std::size_t j = 0; j < cols; ++j) crow[j] = 0.0f + trow[j];
     } else {
-      for (std::size_t j = j0; j < j1; ++j) crow[j] *= beta;
+#pragma omp simd
+      for (std::size_t j = 0; j < cols; ++j) crow[j] += trow[j];
     }
   }
 }
 
-/// Merge a full micro-tile's valid rows x cols region into C.
-void merge_tile(const float* tile, float* c, std::size_t ldc,
-                std::size_t rows, std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    float* crow = c + r * ldc;
-    const float* trow = tile + r * kNR;
-#pragma omp simd
-    for (std::size_t j = 0; j < cols; ++j) crow[j] += trow[j];
-  }
-}
-
 /// Shared compute stage over pre-packed A panels: the jc/pc panel loops,
-/// per-chunk B packing, and the row-partitioned tile sweep (which also
-/// applies beta to its own rows at the first depth chunk). The B operand
-/// type only selects the packer; the arithmetic is the same.
+/// per-chunk B packing, and the row-partitioned tile sweep. A full tile is
+/// updated in C by the micro-kernel itself; a row or column tail runs the
+/// kernel into an aligned scratch tile and merges its valid region. The B
+/// operand type only selects the packer; the arithmetic is the same.
 template <class BOperand>
 void compute_packed(std::size_t m, std::size_t n, std::size_t k,
                     const float* apanels, const BOperand& b, float beta,
@@ -280,10 +315,14 @@ void compute_packed(std::size_t m, std::size_t n, std::size_t k,
         for (std::size_t s = s0; s < s1; ++s)
           pack_b_strip(s, pc, kc, jc, ncb, b, bpack);
       });
+      // The first chunk of a beta == 0 product stores instead of adding.
+      const bool store = pc == 0 && beta == 0.0f;
       parallel_for(0, m, kMC, [&](std::size_t r0, std::size_t r1) {
-        // Each block applies beta to its own C rows right before its first
-        // accumulation — no serial pre-scale pass, per-row order unchanged.
-        if (pc == 0) scale_c(beta, c, ldc, r0, r1, jc, jc + ncb);
+        // A general beta scales this block's own C rows right before its
+        // first accumulation — no serial pre-scale pass, per-row order
+        // unchanged.
+        if (pc == 0 && beta != 0.0f && beta != 1.0f)
+          scale_c(beta, c, ldc, r0, r1, jc, jc + ncb);
         alignas(32) float tile[kTile];
         for (std::size_t jr = 0; jr < ncb; jr += kNR) {
           const std::size_t cols = std::min(kNR, ncb - jr);
@@ -292,8 +331,16 @@ void compute_packed(std::size_t m, std::size_t n, std::size_t k,
             const std::size_t rows = std::min(kMR, r1 - ir);
             const float* ap = apanels + nstrips_a * kMR * pc +
                               (ir / kMR) * kMR * kc;
-            micro(kc, ap, bp, tile);
-            merge_tile(tile, c + ir * ldc + jc + jr, ldc, rows, cols);
+            float* cij = c + ir * ldc + jc + jr;
+            if (rows == kMR && cols == kNR) {
+              micro(kc, ap, bp, cij, ldc, store);
+              continue;
+            }
+            // -0.0f is the exact additive identity (-0 + x == x for every
+            // x, -0 included), so the tile receives the raw accumulators.
+            std::fill(tile, tile + kTile, -0.0f);
+            micro(kc, ap, bp, tile, kNR, false);
+            merge_tile(tile, cij, ldc, rows, cols, store);
           }
         }
       });

@@ -11,11 +11,15 @@
 //           micro-kernel: kMR x kNR register tile over the packed strips
 //
 // The micro-kernel accumulates a full kMR x kNR tile in registers over the
-// kc depth chunk and merges it into C afterwards. Per C element the
+// kc depth chunk and then updates C itself: the first chunk of a beta == 0
+// product stores 0.0f + acc (never reading C), every other chunk adds
+// C += acc. Only row/column tails go through an aligned scratch tile and a
+// merge; only a general beta (not 0 or 1) pre-scales C. Per C element the
 // floating-point order is therefore
 //
 //   C(i,j) = ((beta*C(i,j) + chunk_0) + chunk_1) + ... ,
 //   chunk_t = sum over k in [t*kKC, (t+1)*kKC) in ascending-k order,
+//   beta*C(i,j) read as +0 when beta == 0,
 //
 // which depends only on (m, n, k, beta) — never on the thread count, the
 // row partition, or which strip a row lands in (every element owns a
@@ -84,9 +88,10 @@ struct ConvOperand {
 
 /// C = alpha * op(A) * op(B) + beta * C over strided operands, C row-major
 /// m x n with leading dimension ldc. beta == 0 never reads C (NaN/garbage
-/// in C is overwritten, BLAS semantics). The beta scale/clear is folded
-/// into the row-partitioned region: each block scales its own C rows right
-/// before accumulating its first depth chunk, so no serial pre-pass runs.
+/// in C is overwritten, BLAS semantics). beta == 0 and 1 cost no pass over
+/// C (the micro-kernel stores or adds); a general beta is folded into the
+/// row-partitioned region: each block scales its own C rows right before
+/// accumulating its first depth chunk, so no serial pre-pass runs.
 /// Requires alpha != 0 and m, n, k > 0 (the gemm() wrapper handles the
 /// degenerate cases).
 void gemm_packed(std::size_t m, std::size_t n, std::size_t k, float alpha,

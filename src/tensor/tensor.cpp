@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace remapd {
@@ -35,12 +36,22 @@ Tensor Tensor::kaiming(Shape shape, std::size_t fan_in, Rng& rng) {
   return randn(std::move(shape), rng, static_cast<float>(stddev));
 }
 
-Tensor Tensor::from_vector(Shape shape, std::vector<float> values) {
+Tensor Tensor::from_vector(Shape shape, const std::vector<float>& values) {
   if (shape.numel() != values.size())
     throw std::invalid_argument("Tensor::from_vector: size mismatch");
   Tensor t;
   t.shape_ = std::move(shape);
-  t.data_ = std::move(values);
+  t.data_.assign(values.begin(), values.end());
+  return t;
+}
+
+Tensor Tensor::uninitialized(Shape shape) {
+  Tensor t;
+  t.shape_ = std::move(shape);
+  t.data_.resize(t.shape_.numel());
+#ifdef __SANITIZE_ADDRESS__
+  t.fill(std::numeric_limits<float>::quiet_NaN());
+#endif
   return t;
 }
 

@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,25 @@ struct Shape {
   [[nodiscard]] std::string str() const;
 };
 
+/// std::allocator that default-initializes: a resize() or sized
+/// construction leaves floats unwritten instead of value-filling them.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <class U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+  // Construction with arguments (a fill value, a copy) falls through to
+  // std::allocator_traits' default.
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
 /// Owning dense float tensor. Copyable (deep) and movable.
 class Tensor {
  public:
@@ -40,7 +60,11 @@ class Tensor {
   static Tensor randn(Shape shape, Rng& rng, float stddev = 1.0f);
   /// Kaiming/He normal initialization for a layer with `fan_in` inputs.
   static Tensor kaiming(Shape shape, std::size_t fan_in, Rng& rng);
-  static Tensor from_vector(Shape shape, std::vector<float> values);
+  static Tensor from_vector(Shape shape, const std::vector<float>& values);
+  /// A tensor whose elements are not written: for an output its producer
+  /// overwrites in full. Sanitizer (ASan) builds fill it with quiet NaN, so
+  /// a read before the write turns the result non-finite there.
+  static Tensor uninitialized(Shape shape);
 
   [[nodiscard]] const Shape& shape() const { return shape_; }
   [[nodiscard]] std::size_t numel() const { return data_.size(); }
@@ -81,7 +105,7 @@ class Tensor {
 
  private:
   Shape shape_;
-  std::vector<float> data_;
+  std::vector<float, DefaultInitAllocator<float>> data_;
 };
 
 /// Max |a[i] - b[i]|; shapes must match.

@@ -7,10 +7,14 @@
 // previously materialized fresh transpose buffers per call), and the flops
 // telemetry regression (degenerate calls must record zero flops), and the
 // implicit-GEMM ConvOperand packer against the im2col panel it replaces.
-// The golden sweep and the ConvOperand check run under every fp32
-// micro-kernel variant the CPU supports and must agree bitwise across them.
+// The golden sweep, the store contract (the micro-kernel writes C itself:
+// bytes equal to clearing C and merging each depth chunk) and the
+// ConvOperand check run under every fp32 micro-kernel variant the CPU
+// supports and must agree bitwise across them; a short training must give
+// the same bytes under every fp32 x int8 kernel pairing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -21,9 +25,13 @@
 #include "nn/conv2d.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/gemm_int8.hpp"
+#include "tensor/gemm_int8_testing.hpp"
 #include "tensor/gemm_kernel.hpp"
 #include "tensor/gemm_testing.hpp"
 #include "tensor/im2col.hpp"
+#include "trainer/fault_aware_trainer.hpp"
+#include "trainer/scenarios.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -172,6 +180,86 @@ TEST(GemmKernel, BetaZeroOverwritesNaNWithoutReadingC) {
   gemm(false, false, 5, 3, 4, 0.0f, a.data(), 4, b.data(), 3, 0.0f, c.data(),
        3);
   for (const float v : c) EXPECT_EQ(v, 0.0f);
+}
+
+// ---------------------------------------------------------------------------
+// Store contract: the micro-kernel updates C itself
+// ---------------------------------------------------------------------------
+
+/// The documented per-element order, one element at a time: clear (beta
+/// == 0) or scale C once, then add each kKC depth chunk's fused,
+/// ascending-k sum, each chunk starting from +0. A row-major, B row-major.
+void zero_then_merge_ref(std::size_t m, std::size_t n, std::size_t k,
+                         float alpha, const float* a, const float* b,
+                         float beta, float* c) {
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      float cij = c[i * n + j];
+      if (beta == 0.0f) cij = 0.0f;
+      else if (beta != 1.0f) cij *= beta;
+      for (std::size_t pc = 0; pc < k; pc += kKC) {
+        float acc = 0.0f;
+        for (std::size_t p = pc; p < std::min(k, pc + kKC); ++p)
+          acc = std::fma(alpha * a[i * k + p], b[p * n + j], acc);
+        cij += acc;
+      }
+      c[i * n + j] = cij;
+    }
+}
+
+TEST(GemmKernel, StoreContractUnderEveryKernel) {
+  // Full tiles (12 x 32), row and column tails (7 x 19, 13 x 37), and
+  // depths of one and of three kKC chunks.
+  const std::size_t shapes[][2] = {{12, 32}, {7, 19}, {13, 37}};
+  const std::size_t depths[] = {5, 2 * kKC + 5};
+  for_each_fp32_kernel([&](std::vector<float>& out) {
+    Rng rng(77);
+    for (const auto& [m, n] : shapes)
+      for (const std::size_t k : depths) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                     " k=" + std::to_string(k));
+        const Tensor a = random_matrix(m, k, rng);
+        const Tensor b = random_matrix(k, n, rng);
+
+        // beta == 0 over NaN: C is written, never read.
+        std::vector<float> c(m * n, kNaN);
+        gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
+             c.data(), n);
+        for (const float v : c) ASSERT_TRUE(std::isfinite(v));
+
+        // Every beta class, bytes equal to the zero-then-merge order.
+        for (const float beta : {0.0f, 1.0f, 0.5f, -2.0f}) {
+          std::vector<float> got(m * n), want(m * n);
+          for (std::size_t e = 0; e < m * n; ++e)
+            got[e] = want[e] = 0.25f * static_cast<float>(e % 7) - 0.5f;
+          gemm(false, false, m, n, k, 1.5f, a.data(), k, b.data(), n, beta,
+               got.data(), n);
+          zero_then_merge_ref(m, n, k, 1.5f, a.data(), b.data(), beta,
+                              want.data());
+          EXPECT_TRUE(same_bits(got, want)) << "beta=" << beta;
+          out.insert(out.end(), got.begin(), got.end());
+        }
+
+        // Accumulators that underflow to -0: beta == 0 lands them as +0
+        // (0 + -0), beta == 1 over a -0 C keeps -0 (-0 + -0), tails
+        // included.
+        std::vector<float> tiny_a(m * k, -1e-30f), tiny_b(k * n, 1e-30f);
+        std::fill(c.begin(), c.end(), kNaN);
+        gemm(false, false, m, n, k, 1.0f, tiny_a.data(), k, tiny_b.data(), n,
+             0.0f, c.data(), n);
+        for (const float v : c) {
+          ASSERT_EQ(v, 0.0f);
+          ASSERT_FALSE(std::signbit(v)) << "-0 stored raw";
+        }
+        std::fill(c.begin(), c.end(), -0.0f);
+        gemm(false, false, m, n, k, 1.0f, tiny_a.data(), k, tiny_b.data(), n,
+             1.0f, c.data(), n);
+        for (const float v : c) {
+          ASSERT_EQ(v, 0.0f);
+          ASSERT_TRUE(std::signbit(v)) << "-0 + -0 must stay -0";
+        }
+      }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -524,6 +612,81 @@ TEST(GemmKernel, FlopsCountedOnlyForIssuedMultiplies) {
        4);
   EXPECT_EQ(flops.value(), before + 2ull * 6 * 4 * 5);
   telemetry::set_enabled(false);
+}
+
+// ---------------------------------------------------------------------------
+// A short training under every kernel pairing
+// ---------------------------------------------------------------------------
+
+/// Every field of every epoch record, as raw bytes.
+std::vector<unsigned char> history_bytes(const TrainResult& r) {
+  std::vector<unsigned char> bytes;
+  const auto put = [&bytes](const auto& v) {
+    const auto* p = reinterpret_cast<const unsigned char*>(&v);
+    bytes.insert(bytes.end(), p, p + sizeof(v));
+  };
+  for (const EpochRecord& e : r.history) {
+    put(e.epoch);
+    put(e.train_loss);
+    put(e.train_accuracy);
+    put(e.test_accuracy);
+    put(e.remaps);
+    put(e.mean_density_est);
+    put(e.max_density_est);
+    put(e.total_faults);
+    put(e.new_faults);
+    put(e.bist_cycles);
+    put(e.new_upsets);
+    put(e.live_upsets);
+    put(e.refreshed_cells);
+    put(e.refresh_cycles);
+  }
+  put(r.final_test_accuracy);
+  return bytes;
+}
+
+TEST(GemmKernel, TrainingIdenticalUnderEveryKernel) {
+  // resnet12, 2 epochs on 48/32 samples: once on fp32 cells with SAF
+  // faults and Remap-D, once on 4-bit cells through the int8 path with
+  // upsets and refresh. Each runs under every fp32 x int8 kernel pairing
+  // this CPU supports and must train to the same bytes.
+  struct Restore {
+    std::string fp32 = gemm_kernel_name(), i8 = int8_kernel_name();
+    ~Restore() {
+      gemm_testing::force_kernel(fp32);
+      int8_testing::force_kernel(i8);
+    }
+  } restore;
+  const auto train = [](bool int8) {
+    TrainerConfig cfg = recommended_config("resnet12");
+    cfg.epochs = 2;
+    cfg.data.train = 48;
+    cfg.data.test = 32;
+    cfg.policy = int8 ? "refresh" : "remap-d";
+    cfg.faults = FaultScenario::paper_default_compressed(cfg.epochs);
+    if (int8) {
+      cfg.quant.enabled = true;
+      cfg.quant.cell_bits = 4;
+      cfg.quant.int8_gemm = true;
+    }
+    apply_fault_model(cfg, int8 ? "saf+transient" : "saf");
+    return history_bytes(train_with_faults(cfg));
+  };
+  std::vector<unsigned char> first[2];
+  for (const std::string& fp32 : gemm_testing::supported_kernels())
+    for (const std::string& i8 : int8_testing::supported_kernels()) {
+      SCOPED_TRACE("fp32 " + fp32 + ", int8 " + i8);
+      gemm_testing::force_kernel(fp32);
+      int8_testing::force_kernel(i8);
+      for (const bool int8 : {false, true}) {
+        const std::vector<unsigned char> bytes = train(int8);
+        ASSERT_FALSE(bytes.empty());
+        if (first[int8].empty())
+          first[int8] = bytes;
+        else
+          EXPECT_EQ(bytes, first[int8]) << (int8 ? "int8 run" : "fp32 run");
+      }
+    }
 }
 
 // ---------------------------------------------------------------------------

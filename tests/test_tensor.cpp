@@ -39,6 +39,18 @@ TEST(Tensor, FromVectorChecksSize) {
                std::invalid_argument);
 }
 
+TEST(Tensor, UninitializedHasShapeAndIsNaNUnderAsan) {
+  Tensor t = Tensor::uninitialized(Shape{2, 3, 4, 5});
+  EXPECT_EQ(t.shape(), (Shape{2, 3, 4, 5}));
+  EXPECT_EQ(t.numel(), 120u);
+#ifdef __SANITIZE_ADDRESS__
+  // A read before the producer's write must surface as non-finite.
+  for (std::size_t i = 0; i < t.numel(); ++i) EXPECT_TRUE(std::isnan(t[i]));
+#endif
+  t.fill(1.5f);
+  EXPECT_EQ(Tensor(t).sum(), 180.0f);  // copies carry the values
+}
+
 TEST(Tensor, At2DAnd4D) {
   Tensor t = Tensor::from_vector(Shape{2, 3}, {0, 1, 2, 3, 4, 5});
   EXPECT_EQ(t.at(1, 2), 5.0f);

@@ -10,13 +10,15 @@
 // exit code 1, which is what the CI smoke step relies on.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "obs/jsonl.hpp"
+#include "util/env.hpp"
 
 namespace {
 
@@ -49,11 +51,12 @@ bool parse_args(int argc, char** argv, Options* opt) {
     else if (a == "--noc") opt->noc = true;
     else if (a == "--top" || a == "--xbar") {
       if (i + 1 >= argc) return false;
-      char* end = nullptr;
-      const long long v = std::strtoll(argv[++i], &end, 10);
-      if (!end || *end || v < 0) return false;
+      // parse_uint throws naming the flag; main reports it.
+      const std::uint64_t v = remapd::parse_uint(
+          a, argv[++i],
+          static_cast<std::uint64_t>(std::numeric_limits<long long>::max()));
       if (a == "--top") opt->top_k = static_cast<std::size_t>(v);
-      else opt->xbar = v;
+      else opt->xbar = static_cast<long long>(v);
     } else if (!a.empty() && a[0] == '-') {
       return false;
     } else if (opt->path.empty()) {
@@ -197,8 +200,13 @@ void print_noc(const Run& run, const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, &opt)) {
-    usage(argv[0]);
+  try {
+    if (!parse_args(argc, argv, &opt)) {
+      usage(argv[0]);
+      return 2;
+    }
+  } catch (const std::runtime_error& e) {
+    std::cerr << "remapd_report: " << e.what() << "\n";
     return 2;
   }
 
