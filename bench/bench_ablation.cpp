@@ -12,18 +12,17 @@
 
 #include <cstdio>
 
-#include "trainer/fault_aware_trainer.hpp"
+#include "trainer/scenarios.hpp"
 #include "util/csv.hpp"
 
 namespace {
 
 using namespace remapd;
 
-TrainerConfig base_config() {
-  TrainerConfig cfg = recommended_config("resnet18");
-  apply_env_overrides(cfg);
-  cfg.faults = FaultScenario::paper_default_compressed(cfg.epochs);
-  return cfg;
+/// resnet18 under `spec` (by default the Fig. 6 scenario, policy none).
+TrainerConfig base_config(ExperimentSpec spec = {}) {
+  spec.model = "resnet18";
+  return make_bench_config(spec);
 }
 
 double run(TrainerConfig cfg) {
@@ -38,9 +37,7 @@ int main() {
   csv.header({"ablation", "variant", "accuracy"});
 
   {
-    TrainerConfig ideal = base_config();
-    ideal.faults = FaultScenario::ideal();
-    const double acc = run(ideal);
+    const double acc = run(base_config({.fault_model = "ideal"}));
     std::printf("reference ideal accuracy: %.3f\n\n", acc);
     csv.row("reference", "ideal", acc);
   }
@@ -49,9 +46,7 @@ int main() {
   for (auto [mode, name] :
        {std::pair{MappingMode::kSingleArrayBias, "single-array-bias"},
         std::pair{MappingMode::kDifferentialPair, "differential-pair"}}) {
-    TrainerConfig cfg = base_config();
-    cfg.mapping = mode;
-    const double acc = run(cfg);
+    const double acc = run(base_config({.mapping = mode}));
     std::printf("    %-20s : %.3f\n", name, acc);
     csv.row("mapping", name, acc);
   }
@@ -68,8 +63,7 @@ int main() {
 
   std::printf("\n(c) Remap-D density source\n");
   for (bool bist : {true, false}) {
-    TrainerConfig cfg = base_config();
-    cfg.policy = "remap-d";
+    TrainerConfig cfg = base_config({.policy = "remap-d"});
     cfg.use_bist_estimates = bist;
     const double acc = run(cfg);
     std::printf("    %-20s : %.3f\n",
@@ -79,9 +73,7 @@ int main() {
 
   std::printf("\n(d) unprotected vs remap-d (same seed, same faults)\n");
   for (const char* policy : {"none", "remap-d"}) {
-    TrainerConfig cfg = base_config();
-    cfg.policy = policy;
-    const double acc = run(cfg);
+    const double acc = run(base_config({.policy = policy}));
     std::printf("    %-20s : %.3f\n", policy, acc);
     csv.row("policy", policy, acc);
   }
@@ -90,9 +82,8 @@ int main() {
               "mechanistic Weibull endurance\n");
   for (bool mech : {false, true}) {
     for (const char* policy : {"none", "remap-d"}) {
-      TrainerConfig cfg = base_config();
+      TrainerConfig cfg = base_config({.policy = policy});
       cfg.faults.mechanistic_endurance = mech;
-      cfg.policy = policy;
       const double acc = run(cfg);
       std::printf("    %-16s %-8s : %.3f\n",
                   mech ? "weibull" : "(m,n)-rates", policy, acc);

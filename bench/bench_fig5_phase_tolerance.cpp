@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "trainer/fault_aware_trainer.hpp"
+#include "trainer/scenarios.hpp"
 #include "util/csv.hpp"
 
 int main() {
@@ -27,22 +27,18 @@ int main() {
 
   double fwd_loss_sum = 0.0, bwd_loss_sum = 0.0;
   for (const char* model : models) {
-    TrainerConfig base = recommended_config(model);
-    apply_env_overrides(base);
-
-    TrainerConfig ideal = base;
-    ideal.faults = FaultScenario::ideal();
+    const TrainerConfig ideal =
+        make_bench_config({.model = model, .fault_model = "ideal"});
     const double acc_ideal = train_with_faults(ideal).final_test_accuracy;
 
-    TrainerConfig fwd = base;
-    fwd.faults = FaultScenario::uniform(kDensity);
-    fwd.fault_target = PhaseFaultTarget::kForwardOnly;
-    const double acc_fwd = train_with_faults(fwd).final_test_accuracy;
-
-    TrainerConfig bwd = base;
-    bwd.faults = FaultScenario::uniform(kDensity);
-    bwd.fault_target = PhaseFaultTarget::kBackwardOnly;
-    const double acc_bwd = train_with_faults(bwd).final_test_accuracy;
+    auto faulty = [&](PhaseFaultTarget phase) {
+      TrainerConfig cfg = ideal;
+      cfg.faults = FaultScenario::uniform(kDensity);
+      cfg.fault_target = phase;
+      return train_with_faults(cfg).final_test_accuracy;
+    };
+    const double acc_fwd = faulty(PhaseFaultTarget::kForwardOnly);
+    const double acc_bwd = faulty(PhaseFaultTarget::kBackwardOnly);
 
     std::printf("%-10s %8.3f %9.3f %9.3f %11.1f%% %11.1f%%\n", model,
                 acc_ideal, acc_fwd, acc_bwd, 100.0 * (acc_ideal - acc_fwd),

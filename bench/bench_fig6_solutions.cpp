@@ -12,7 +12,7 @@
 
 #include <cstdio>
 
-#include "trainer/fault_aware_trainer.hpp"
+#include "trainer/scenarios.hpp"
 #include "util/csv.hpp"
 
 int main() {
@@ -39,21 +39,17 @@ int main() {
   double an_loss = 0.0, remap_d_loss = 0.0, none_loss = 0.0;
   std::size_t counted = 0;
   for (const char* model : models) {
-    TrainerConfig base = recommended_config(model);
-    apply_env_overrides(base);
-    base.faults = FaultScenario::paper_default_compressed(base.epochs);
-
-    TrainerConfig ideal = base;
-    ideal.faults = FaultScenario::ideal();
-    const double acc_ideal = train_with_faults(ideal).final_test_accuracy;
+    ExperimentSpec spec{.model = model, .fault_model = "ideal"};
+    const double acc_ideal =
+        train_with_faults(make_bench_config(spec)).final_test_accuracy;
     std::printf("%-10s %7.3f", model, acc_ideal);
     std::fflush(stdout);
 
     std::vector<double> row;
+    spec.fault_model = "saf";
     for (const char* policy : policies) {
-      TrainerConfig cfg = base;
-      cfg.policy = policy;
-      const TrainResult r = train_with_faults(cfg);
+      spec.policy = policy;
+      const TrainResult r = train_with_faults(make_bench_config(spec));
       row.push_back(r.final_test_accuracy);
       std::printf(" %11.3f", r.final_test_accuracy);
       std::fflush(stdout);

@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "trainer/fault_aware_trainer.hpp"
+#include "trainer/scenarios.hpp"
 #include "util/csv.hpp"
 
 int main() {
@@ -22,13 +22,11 @@ int main() {
   CsvWriter csv("fig7_postfault_sweep.csv");
   csv.header({"model", "m_pct", "n_pct", "accuracy", "ideal"});
 
+  auto accuracy = [](const ExperimentSpec& spec) {
+    return train_with_faults(make_bench_config(spec)).final_test_accuracy;
+  };
   for (const char* model : models) {
-    TrainerConfig base = recommended_config(model);
-    apply_env_overrides(base);
-
-    TrainerConfig ideal_cfg = base;
-    ideal_cfg.faults = FaultScenario::ideal();
-    const double ideal = train_with_faults(ideal_cfg).final_test_accuracy;
+    const double ideal = accuracy({.model = model, .fault_model = "ideal"});
 
     std::printf("--- %s (ideal %.3f) ---\n", model, ideal);
     std::printf("%8s", "m\\n");
@@ -38,14 +36,9 @@ int main() {
     for (double m : ms) {
       std::printf("%7.1f%%", 100.0 * m);
       for (double n : ns) {
-        TrainerConfig cfg = base;
-        cfg.policy = "remap-d";
-        // Pre-deployment as in Fig. 6; post rates (m, n) compressed.
-        cfg.faults = FaultScenario::paper_default_compressed(cfg.epochs);
-        cfg.faults.post_cell_fraction = m;
-        cfg.faults.post_xbar_fraction =
-            std::min(1.0, n * 50.0 / static_cast<double>(cfg.epochs));
-        const double acc = train_with_faults(cfg).final_test_accuracy;
+        // Pre-deployment as in Fig. 6; the post rates (m, n) are edits.
+        const double acc = accuracy(
+            {.model = model, .policy = "remap-d", .post_m = m, .post_n = n});
         std::printf(" %10.3f", acc);
         std::fflush(stdout);
         csv.row(model, 100.0 * m, 100.0 * n, acc, ideal);

@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "trainer/fault_aware_trainer.hpp"
+#include "trainer/scenarios.hpp"
 #include "util/csv.hpp"
 
 int main() {
@@ -32,24 +32,16 @@ int main() {
   for (const auto& ds : datasets) {
     double none_loss = 0.0, rd_loss = 0.0;
     for (const char* model : models) {
-      TrainerConfig base = recommended_config(model);
-      base.data.kind = ds.kind;
-      base.data.train = ds.train;
-      base.data.test = ds.test;
-      apply_env_overrides(base);
-      base.faults = FaultScenario::paper_default_compressed(base.epochs);
-
-      TrainerConfig ideal = base;
-      ideal.faults = FaultScenario::ideal();
-      const double acc_ideal = train_with_faults(ideal).final_test_accuracy;
-
-      TrainerConfig none = base;
-      none.policy = "none";
-      const double acc_none = train_with_faults(none).final_test_accuracy;
-
-      TrainerConfig remap = base;
-      remap.policy = "remap-d";
-      const double acc_rd = train_with_faults(remap).final_test_accuracy;
+      ExperimentSpec spec{.model = model, .dataset = ds.kind,
+                          .train = ds.train, .test = ds.test};
+      auto accuracy = [&](const char* policy, const char* fault_model) {
+        spec.policy = policy;
+        spec.fault_model = fault_model;
+        return train_with_faults(make_bench_config(spec)).final_test_accuracy;
+      };
+      const double acc_ideal = accuracy("none", "ideal");
+      const double acc_none = accuracy("none", "saf");
+      const double acc_rd = accuracy("remap-d", "saf");
 
       std::printf("%-14s %-10s %8.3f %8.3f %9.3f %9.1f%% %9.1f%%\n",
                   synth_name(ds.kind), model, acc_ideal, acc_none, acc_rd,

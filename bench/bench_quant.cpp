@@ -105,17 +105,11 @@ TrainerConfig quant_cfg(const std::string& fault_model, std::size_t bits) {
   // Preset scale (8 epochs x 256 train): long enough that training
   // genuinely converges, which the within-1pt gates need — stochastic
   // rounding is unbiased but only averages out over enough SGD steps.
-  TrainerConfig cfg = recommended_config("resnet12");
-  cfg.seed = 42;
-  cfg.policy = "remap-d";
-  if (bits > 0) {
-    cfg.quant.enabled = true;
-    cfg.quant.cell_bits = bits;
-    cfg.quant.int8_gemm = true;
-  }
-  apply_env_overrides(cfg);
-  apply_fault_model(cfg, fault_model);
-  return cfg;
+  ExperimentSpec spec{
+      .model = "resnet12", .policy = "remap-d", .fault_model = fault_model};
+  if (bits > 0)
+    spec.quant = {.enabled = true, .cell_bits = bits, .int8_gemm = true};
+  return make_bench_config(spec);
 }
 
 struct AccPoint {

@@ -31,8 +31,8 @@
 #include <vector>
 
 #include "data/synth.hpp"
-#include "trainer/fault_aware_trainer.hpp"
 #include "trainer/metrics.hpp"
+#include "trainer/scenarios.hpp"
 #include "trainer/timing_model.hpp"
 #include "util/parallel.hpp"
 #include "xbar/ir_drop.hpp"
@@ -41,33 +41,19 @@ namespace {
 
 using namespace remapd;
 
-/// One bench-scale base config shared by every point: small enough that
-/// the nine training runs finish in seconds, large enough that the
-/// scenario effects dominate run-to-run noise at the fixed seed.
-TrainerConfig base_config() {
-  TrainerConfig cfg = recommended_config("resnet12");
-  cfg.epochs = 6;
-  cfg.data.train = 96;
-  cfg.data.test = 64;
-  cfg.seed = 42;
-  apply_env_overrides(cfg);
-  return cfg;
-}
-
-TrainerConfig transient_config(const std::string& policy) {
-  TrainerConfig cfg = base_config();
-  cfg.faults = FaultScenario::ideal();
-  cfg.transients.enabled = true;
-  cfg.transients.upset_rate = 0.004;
-  cfg.policy = policy;
-  return cfg;
+/// One bench-scale resnet12 config shared by the non-SAF points: small
+/// enough that the nine training runs finish in seconds, large enough that
+/// the scenario effects dominate run-to-run noise at the fixed seed.
+TrainerConfig base_config(const std::string& fault_model,
+                          const std::string& policy = "none") {
+  return make_bench_config({.model = "resnet12", .policy = policy,
+                            .epochs = 6, .train = 96, .test = 64,
+                            .fault_model = fault_model});
 }
 
 TrainerConfig ir_drop_config(const std::string& policy) {
-  TrainerConfig cfg = base_config();
-  cfg.faults = FaultScenario::ideal();
+  TrainerConfig cfg = base_config("ideal", policy);
   cfg.ir_drop.wire_ohms_per_cell = 800.0;
-  cfg.policy = policy;
   return cfg;
 }
 
@@ -76,12 +62,7 @@ TrainerConfig ir_drop_config(const std::string& policy) {
 /// there, so the remap-d-vs-none gap is wide (~25 accuracy points across
 /// seeds) rather than a noise-level flip as on the skip-connected resnet.
 TrainerConfig saf_config(const std::string& policy) {
-  TrainerConfig cfg = recommended_config("squeezenet");
-  cfg.seed = 42;
-  apply_env_overrides(cfg);
-  cfg.faults = FaultScenario::paper_default_compressed(cfg.epochs);
-  cfg.policy = policy;
-  return cfg;
+  return make_bench_config({.model = "squeezenet", .policy = policy});
 }
 
 struct Point {
@@ -166,8 +147,8 @@ int main(int argc, char** argv) {
               "   saf                : squeezenet, fig6 scale\n\n");
 
   std::vector<Point> pts;
-  pts.push_back(run_point("transient", transient_config("none"), false));
-  pts.push_back(run_point("transient", transient_config("refresh"), true));
+  pts.push_back(run_point("transient", base_config("transient", "none"), false));
+  pts.push_back(run_point("transient", base_config("transient", "refresh"), true));
   pts.push_back(run_point("ir-drop", ir_drop_config("none"), true));
   pts.push_back(run_point("saf", saf_config("none"), false));
   pts.push_back(run_point("saf", saf_config("drop-connect"), false));
@@ -179,9 +160,7 @@ int main(int argc, char** argv) {
   // alternating scheme calibrates back to the exact ideal arithmetic, so
   // its accuracy equals the ideal deployment bit for bit.
   set_parallel_threads(4);
-  TrainerConfig ideal_cfg = base_config();
-  ideal_cfg.faults = FaultScenario::ideal();
-  ideal_cfg.policy = "none";
+  const TrainerConfig ideal_cfg = base_config("ideal");
   FaultAwareTrainer trained(ideal_cfg);
   const double acc_ideal = trained.run().final_test_accuracy;
   SynthSpec eval_spec = ideal_cfg.data;

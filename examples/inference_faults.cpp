@@ -10,16 +10,15 @@
 
 #include <cstdio>
 
-#include "trainer/fault_aware_trainer.hpp"
+#include "trainer/scenarios.hpp"
 
 int main(int argc, char** argv) {
   using namespace remapd;
   const std::string model_name = argc > 1 ? argv[1] : "resnet12";
 
   // 1. Train to convergence on ideal hardware.
-  TrainerConfig cfg = recommended_config(model_name);
-  apply_env_overrides(cfg);
-  cfg.faults = FaultScenario::ideal();
+  const TrainerConfig cfg =
+      make_bench_config({.model = model_name, .fault_model = "ideal"});
   FaultAwareTrainer trainer(cfg);
   const TrainResult r = trainer.run();
   std::printf("== inference-time faults on a trained %s ==\n\n",

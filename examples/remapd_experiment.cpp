@@ -4,15 +4,12 @@
 //
 // Usage: remapd_experiment [--flag value]...
 //   --model NAME        vgg11|vgg16|vgg19|resnet12|resnet18|squeezenet —
-//                       the base config; applied before every other flag,
-//                       wherever it appears
+//                       the base config (recommended_config)
 //   --policy NAME       none|an-code|static|remap-ws|remap-t-5|remap-t-10|
 //                       remap-d|refresh|xchangr|drop-connect
 //   --fault-model NAME  saf|transient|ir-drop|saf+transient|saf+ir-drop|
-//                       ideal — scenario
-//                       preset (trainer/scenarios.hpp). Applied after every
-//                       other flag so the SAF wear rate is derived from the
-//                       final epoch count.
+//                       ideal — scenario preset (trainer/scenarios.hpp;
+//                       default saf), compressed to the final epoch count
 //   --list-policies     print the policy registry and exit
 //   --list-fault-models print the fault-model registry and exit
 //   --dataset NAME      cifar10|cifar100|svhn
@@ -20,14 +17,16 @@
 //   --train N           training samples (default 256)
 //   --test N            test samples (default 128)
 //   --seed N            RNG seed (default 42)
-//   --ideal             disable all faults
+//   --ideal             alias of --fault-model ideal: no faults
 //   --pre-high PCT      high-band pre-deployment density, e.g. 1.0 (%)
 //   --post-m PCT        new faulty cells per selected crossbar per epoch (%)
-//   --post-n PCT        crossbars gaining faults per epoch (%)
+//   --post-n PCT        crossbars gaining faults per paper epoch (%),
+//                       compressed like the preset's (n x 50 / epochs)
 //   --phase NAME        all|forward|backward (Fig. 5-style targeting)
 //   --mapping NAME      single|differential
 //   --cell-bits N       quantize cells to N-bit levels (1..4; default fp32)
-//   --quant-noise S     programming-noise sigma in level units (default 0)
+//   --quant-noise S     programming-noise sigma in level units (default 0;
+//                       requires --cell-bits)
 //   --int8              route layer MVMs through the int8 GEMM fast path
 //                       (requires --cell-bits)
 //   --csv PATH          append per-epoch records to a CSV file
@@ -37,18 +36,19 @@
 //   --resume PATH       restore a checkpoint and continue the run; the
 //                       other flags must match the interrupted leg exactly
 //
-// Flags are the only configuration: the REMAPD_EPOCHS / REMAPD_TRAIN /
-// REMAPD_TEST bench overrides are not read here. A numeric flag takes a
-// plain non-negative decimal; anything else exits 2 naming the flag.
+// Flags fill one ExperimentSpec; make_trainer_config (trainer/scenarios.hpp)
+// applies it in a fixed order, whatever the flag order. A bad value or
+// contradicting flags exit 2 naming them; an unusable checkpoint exits 1.
+// The REMAPD_EPOCHS / REMAPD_TRAIN / REMAPD_TEST overrides are not read.
 
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
 
+#include "ckpt/snapshot.hpp"
 #include "obs/report.hpp"
 #include "telemetry/telemetry.hpp"
-#include "trainer/fault_aware_trainer.hpp"
 #include "trainer/scenarios.hpp"
 #include "util/csv.hpp"
 #include "util/env.hpp"
@@ -65,16 +65,10 @@ using namespace remapd;
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --model picks the base config, so it applies first wherever it
-  // appears; every other flag then edits that config in order.
-  std::string model = "resnet12";
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::string(argv[i]) == "--model") model = argv[++i];
-  TrainerConfig cfg = recommended_config(model);
-  cfg.faults = FaultScenario::paper_default_compressed(cfg.epochs);
-  std::string csv_path;
-  std::string fault_model;
-  bool ideal = false;
+  ExperimentSpec spec;
+  std::string fault_flag;  // the flag that named spec.fault_model
+  std::string csv_path, checkpoint_path, resume_from;
+  std::size_t checkpoint_every = 0, stop_after = 0;  // run controls
 
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -108,83 +102,83 @@ int main(int argc, char** argv) {
       for (const FaultModelSpec& s : fault_model_registry())
         std::printf("%-14s %s\n", s.name.c_str(), s.summary.c_str());
       return 0;
-    } else if (flag == "--fault-model") {
-      fault_model = next();  // applied last, once epochs are final
+    } else if (flag == "--fault-model" || flag == "--ideal") {
+      // --ideal is an alias of --fault-model ideal; naming two different
+      // fault models is a contradiction, not a silent override.
+      const std::string name = flag == "--ideal" ? "ideal" : next();
+      const std::string given = flag == "--ideal" ? flag : flag + " " + name;
+      if (!fault_flag.empty() && name != spec.fault_model)
+        usage((fault_flag + " contradicts " + given).c_str());
+      fault_flag = given;
+      spec.fault_model = name;
     } else if (flag == "--model") {
-      next();  // applied before the loop
+      spec.model = next();
     } else if (flag == "--policy") {
-      cfg.policy = next();
+      spec.policy = next();
     } else if (flag == "--dataset") {
       const std::string d = next();
-      if (d == "cifar10") cfg.data.kind = SynthKind::kCifar10;
-      else if (d == "cifar100") cfg.data.kind = SynthKind::kCifar100;
-      else if (d == "svhn") cfg.data.kind = SynthKind::kSvhn;
+      if (d == "cifar10") spec.dataset = SynthKind::kCifar10;
+      else if (d == "cifar100") spec.dataset = SynthKind::kCifar100;
+      else if (d == "svhn") spec.dataset = SynthKind::kSvhn;
       else usage("unknown dataset");
     } else if (flag == "--epochs") {
-      cfg.epochs = count();
+      spec.epochs = count();
     } else if (flag == "--train") {
-      cfg.data.train = count();
+      spec.train = count();
     } else if (flag == "--test") {
-      cfg.data.test = count();
+      spec.test = count();
     } else if (flag == "--seed") {
-      cfg.seed = uint_arg();
-    } else if (flag == "--ideal") {
-      ideal = true;
+      spec.seed = uint_arg();
     } else if (flag == "--pre-high") {
-      cfg.faults.high_density_hi = percent();
-      cfg.faults.high_density_lo = cfg.faults.high_density_hi * 0.4;
+      spec.pre_high = percent();
     } else if (flag == "--post-m") {
-      cfg.faults.post_cell_fraction = percent();
+      spec.post_m = percent();
     } else if (flag == "--post-n") {
-      cfg.faults.post_xbar_fraction = percent();
+      spec.post_n = percent();
     } else if (flag == "--phase") {
       const std::string p = next();
-      if (p == "all") cfg.fault_target = PhaseFaultTarget::kAll;
-      else if (p == "forward") cfg.fault_target = PhaseFaultTarget::kForwardOnly;
-      else if (p == "backward") cfg.fault_target = PhaseFaultTarget::kBackwardOnly;
+      if (p == "all") spec.phase = PhaseFaultTarget::kAll;
+      else if (p == "forward") spec.phase = PhaseFaultTarget::kForwardOnly;
+      else if (p == "backward") spec.phase = PhaseFaultTarget::kBackwardOnly;
       else usage("unknown phase");
     } else if (flag == "--mapping") {
       const std::string m = next();
-      if (m == "single") cfg.mapping = MappingMode::kSingleArrayBias;
-      else if (m == "differential") cfg.mapping = MappingMode::kDifferentialPair;
+      if (m == "single") spec.mapping = MappingMode::kSingleArrayBias;
+      else if (m == "differential")
+        spec.mapping = MappingMode::kDifferentialPair;
       else usage("unknown mapping");
     } else if (flag == "--cell-bits") {
-      cfg.quant.enabled = true;
-      cfg.quant.cell_bits = count();
+      spec.quant.enabled = true;
+      spec.quant.cell_bits = count();
     } else if (flag == "--quant-noise") {
-      cfg.quant.program_noise_sigma = nonneg_arg();
+      spec.quant.program_noise_sigma = nonneg_arg();
     } else if (flag == "--int8") {
-      cfg.quant.int8_gemm = true;
+      spec.quant.int8_gemm = true;
     } else if (flag == "--csv") {
       csv_path = next();
     } else if (flag == "--checkpoint") {
-      cfg.checkpoint_path = next();
-      if (cfg.checkpoint_every == 0) cfg.checkpoint_every = 1;
+      checkpoint_path = next();
+      if (checkpoint_every == 0) checkpoint_every = 1;
     } else if (flag == "--checkpoint-every") {
-      cfg.checkpoint_every = count();
+      checkpoint_every = count();
     } else if (flag == "--stop-after") {
-      cfg.stop_after_epochs = count();
+      stop_after = count();
     } else if (flag == "--resume") {
-      cfg.resume_from = next();
+      resume_from = next();
     } else {
       usage(("unknown flag " + flag).c_str());
     }
   }
-  if (ideal) cfg.faults = FaultScenario::ideal();
-  if (cfg.quant.int8_gemm && !cfg.quant.enabled)
-    usage("--int8 requires --cell-bits");
+  TrainerConfig cfg;
   try {
-    cfg.quant.validate();
+    cfg = make_trainer_config(spec);
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   }
-  if (!fault_model.empty()) {
-    try {
-      apply_fault_model(cfg, fault_model);
-    } catch (const std::invalid_argument& e) {
-      usage(e.what());
-    }
-  }
+  cfg.checkpoint_path = checkpoint_path;
+  cfg.checkpoint_every = checkpoint_every;
+  cfg.stop_after_epochs = stop_after;
+  cfg.resume_from = resume_from;
 
   std::printf("model=%s policy=%s dataset=%s epochs=%zu seed=%llu\n",
               cfg.model.c_str(), cfg.policy.c_str(),
@@ -195,7 +189,13 @@ int main(int argc, char** argv) {
                 cfg.quant.cell_bits, cfg.quant.program_noise_sigma,
                 cfg.quant.int8_gemm ? 1 : 0);
 
-  const TrainResult r = train_with_faults(cfg);
+  TrainResult r;
+  try {
+    r = train_with_faults(cfg);
+  } catch (const ckpt::CheckpointError& e) {
+    std::fprintf(stderr, "remapd_experiment: %s\n", e.what());
+    return 1;
+  }
   std::printf("%6s %10s %10s %10s %8s %10s %10s %8s %10s\n", "epoch", "loss",
               "train_acc", "test_acc", "remaps", "faults", "new_faults",
               "upsets", "refreshed");

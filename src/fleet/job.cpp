@@ -1,5 +1,7 @@
 #include "fleet/job.hpp"
 
+#include "trainer/scenarios.hpp"
+
 namespace remapd {
 namespace fleet {
 
@@ -13,26 +15,15 @@ void JobSpec::validate(const std::string& ctx) const {
   if (epochs == 0) fail("epochs", "must be >= 1");
   if (train == 0) fail("train", "must be >= 1");
   if (test == 0) fail("test", "must be >= 1");
-  if (cell_bits > 4) fail("cell_bits", "must be 0 (fp32) or 1..4");
-  if (int8 && cell_bits == 0) fail("int8", "requires cell_bits >= 1");
 }
 
 TrainerConfig JobSpec::trainer_config() const {
-  TrainerConfig cfg = recommended_config(model);
-  cfg.policy = policy;
-  cfg.epochs = epochs;
-  cfg.data.train = train;
-  cfg.data.test = test;
-  cfg.seed = seed;
-  // Compressed to the job's own horizon so short and long jobs see the
-  // same cumulative wear exposure (mirrors examples/remapd_experiment).
-  cfg.faults = FaultScenario::paper_default_compressed(epochs);
-  if (cell_bits > 0) {
-    cfg.quant.enabled = true;
-    cfg.quant.cell_bits = cell_bits;
-    cfg.quant.int8_gemm = int8;
-  }
-  return cfg;
+  ExperimentSpec s{.model = model, .policy = policy, .epochs = epochs,
+                   .train = train, .test = test, .seed = seed,
+                   .fault_model = "saf"};
+  if (cell_bits > 0) s.quant = {.enabled = true, .cell_bits = cell_bits};
+  s.quant.int8_gemm = int8;
+  return make_trainer_config(s);
 }
 
 const char* job_state_name(JobState s) {

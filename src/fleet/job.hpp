@@ -46,12 +46,14 @@ struct JobSpec {
   /// Route the job's MVMs through the int8 GEMM fast path (needs cell_bits).
   bool int8 = false;
 
-  /// Throws FleetError (prefixed with `ctx`) unless the spec is runnable.
+  /// Throws FleetError (prefixed with `ctx`) on an empty or zero field;
+  /// names and quant fields are left to trainer_config().
   void validate(const std::string& ctx) const;
 
   /// The full trainer configuration this spec stands for. Identical specs
   /// produce identical configs — the config fingerprint the checkpoint
-  /// layer compares on migration restore.
+  /// layer compares on migration restore. Built by make_trainer_config
+  /// under `saf` (trainer/scenarios.hpp), whose exceptions it passes on.
   [[nodiscard]] TrainerConfig trainer_config() const;
 };
 

@@ -77,6 +77,17 @@ void set_field(JobSpec& s, const std::string& where, const std::string& field,
   }
 }
 
+/// JobSpec::validate, then the builder's checks (model and policy names,
+/// quant fields), so a bad job fails the load instead of its bind.
+void validate_job(const JobSpec& s, const std::string& where) {
+  s.validate(where);
+  try {
+    (void)s.trainer_config();
+  } catch (const std::invalid_argument& e) {
+    fail(where, e.what());
+  }
+}
+
 void check_unique_names(const std::vector<JobSpec>& jobs,
                         const std::string& ctx) {
   std::set<std::string> seen;
@@ -133,7 +144,7 @@ std::vector<JobSpec> parse_jobs_csv(const std::string& text,
     JobSpec spec;
     for (std::size_t i = 0; i < header.size(); ++i)
       set_field(spec, where, header[i], cells[i]);
-    spec.validate(where);
+    validate_job(spec, where);
     jobs.push_back(std::move(spec));
   }
   if (header.empty()) fail(ctx, "missing CSV header row");
@@ -167,7 +178,7 @@ std::vector<JobSpec> parse_jobs_json(const std::string& text,
              "field '" + m.key + "': expected string or integer");
       set_field(spec, at_line(m.line), m.key, v.str);
     }
-    spec.validate(at_line(obj.line));
+    validate_job(spec, at_line(obj.line));
     jobs.push_back(std::move(spec));
   }
   if (jobs.empty()) fail(ctx, "no jobs in file");

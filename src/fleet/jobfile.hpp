@@ -9,8 +9,9 @@
 // JSON:  [{"name": "jobA", "model": "resnet12", "epochs": 4}]
 //
 // Recognized fields: name (required), model, policy, epochs, train, test,
-// seed, priority. Unknown fields, empty values, non-numeric numbers,
-// duplicate job names, and ragged CSV rows are all hard errors.
+// seed, priority, cell_bits, int8. Unknown fields or names, empty values,
+// non-numeric numbers, int8 without cell_bits, duplicate job names, and
+// ragged CSV rows are all hard errors.
 #pragma once
 
 #include <string>

@@ -6,7 +6,6 @@
 #include "nn/loss.hpp"
 #include "obs/report.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/env.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
 
@@ -513,12 +512,6 @@ TrainerConfig recommended_config(const std::string& model) {
   if (model == "vgg19" || model == "squeezenet")
     cfg.model_cfg.base_width = 12;
   return cfg;
-}
-
-void apply_env_overrides(TrainerConfig& cfg) {
-  cfg.epochs = env_size("REMAPD_EPOCHS", cfg.epochs);
-  cfg.data.train = env_size("REMAPD_TRAIN", cfg.data.train);
-  cfg.data.test = env_size("REMAPD_TEST", cfg.data.test);
 }
 
 }  // namespace remapd

@@ -180,10 +180,6 @@ class FaultAwareTrainer {
   /// the result is identical at any REMAPD_THREADS.
   void program_step();
   PolicyContext make_context(std::size_t epoch);
-  /// Ordered (field, value) pairs of every config field that shapes the
-  /// training trajectory — stored in the checkpoint and compared on resume.
-  [[nodiscard]] std::vector<std::pair<std::string, std::string>>
-  config_fingerprint() const;
 
   TrainerConfig cfg_;
   Rng rng_;
@@ -219,6 +215,11 @@ class FaultAwareTrainer {
   bool started_ = false;  ///< begin_training() already ran on this object
 };
 
+/// Ordered (field, value) pairs of every config field that shapes the
+/// training trajectory — stored in the checkpoint and compared on resume.
+[[nodiscard]] std::vector<std::pair<std::string, std::string>>
+config_fingerprint(const TrainerConfig& cfg);
+
 /// Convenience wrapper: construct + run.
 TrainResult train_with_faults(const TrainerConfig& cfg);
 
@@ -226,9 +227,5 @@ TrainResult train_with_faults(const TrainerConfig& cfg);
 /// the 256-sample scaled dataset, with a per-model learning rate (the
 /// deepest plain VGG needs a gentler rate at the scaled width).
 TrainerConfig recommended_config(const std::string& model);
-
-/// Shared env-var scaling for benches: applies REMAPD_EPOCHS /
-/// REMAPD_TRAIN / REMAPD_TEST overrides to a config.
-void apply_env_overrides(TrainerConfig& cfg);
 
 }  // namespace remapd

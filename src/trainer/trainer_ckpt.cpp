@@ -90,28 +90,28 @@ EpochRecord load_epoch_record(ckpt::ByteReader& r) {
 }  // namespace
 
 std::vector<std::pair<std::string, std::string>>
-FaultAwareTrainer::config_fingerprint() const {
+config_fingerprint(const TrainerConfig& cfg) {
   std::vector<std::pair<std::string, std::string>> p;
-  p.emplace_back("model", cfg_.model);
-  p.emplace_back("base_width", std::to_string(cfg_.model_cfg.base_width));
+  p.emplace_back("model", cfg.model);
+  p.emplace_back("base_width", std::to_string(cfg.model_cfg.base_width));
   p.emplace_back("input_channels",
-                 std::to_string(cfg_.model_cfg.input_channels));
+                 std::to_string(cfg.model_cfg.input_channels));
   p.emplace_back("data.kind",
-                 std::to_string(static_cast<int>(cfg_.data.kind)));
-  p.emplace_back("data.image_size", std::to_string(cfg_.data.image_size));
-  p.emplace_back("data.train", std::to_string(cfg_.data.train));
-  p.emplace_back("data.test", std::to_string(cfg_.data.test));
-  p.emplace_back("data.noise", fmt_f(cfg_.data.noise));
+                 std::to_string(static_cast<int>(cfg.data.kind)));
+  p.emplace_back("data.image_size", std::to_string(cfg.data.image_size));
+  p.emplace_back("data.train", std::to_string(cfg.data.train));
+  p.emplace_back("data.test", std::to_string(cfg.data.test));
+  p.emplace_back("data.noise", fmt_f(cfg.data.noise));
   // The lr step schedule and the compressed post-deployment fault rate are
   // functions of the full horizon, so `epochs` is part of the trajectory
   // even before the final epoch runs.
-  p.emplace_back("epochs", std::to_string(cfg_.epochs));
-  p.emplace_back("batch_size", std::to_string(cfg_.batch_size));
-  p.emplace_back("sgd.lr", fmt_f(cfg_.sgd.lr));
-  p.emplace_back("sgd.momentum", fmt_f(cfg_.sgd.momentum));
-  p.emplace_back("sgd.weight_decay", fmt_f(cfg_.sgd.weight_decay));
-  p.emplace_back("sgd.grad_clip", fmt_f(cfg_.sgd.grad_clip));
-  const FaultScenario& fs = cfg_.faults;
+  p.emplace_back("epochs", std::to_string(cfg.epochs));
+  p.emplace_back("batch_size", std::to_string(cfg.batch_size));
+  p.emplace_back("sgd.lr", fmt_f(cfg.sgd.lr));
+  p.emplace_back("sgd.momentum", fmt_f(cfg.sgd.momentum));
+  p.emplace_back("sgd.weight_decay", fmt_f(cfg.sgd.weight_decay));
+  p.emplace_back("sgd.grad_clip", fmt_f(cfg.sgd.grad_clip));
+  const FaultScenario& fs = cfg.faults;
   p.emplace_back("faults.enable_pre", fmt_b(fs.enable_pre));
   p.emplace_back("faults.high_fraction", fmt_f(fs.high_density_fraction));
   p.emplace_back("faults.high_lo", fmt_f(fs.high_density_lo));
@@ -130,27 +130,27 @@ FaultAwareTrainer::config_fingerprint() const {
   p.emplace_back("faults.char_writes",
                  fmt_f(fs.endurance.characteristic_writes));
   p.emplace_back("faults.endurance_sa0", fmt_f(fs.endurance.sa0_fraction));
-  p.emplace_back("transients.enabled", fmt_b(cfg_.transients.enabled));
-  p.emplace_back("transients.upset_rate", fmt_f(cfg_.transients.upset_rate));
+  p.emplace_back("transients.enabled", fmt_b(cfg.transients.enabled));
+  p.emplace_back("transients.upset_rate", fmt_f(cfg.transients.upset_rate));
   p.emplace_back("transients.toward_on",
-                 fmt_f(cfg_.transients.toward_on_fraction));
-  p.emplace_back("ir.wire_ohms", fmt_f(cfg_.ir_drop.wire_ohms_per_cell));
-  p.emplace_back("ir.reference_ohms", fmt_f(cfg_.ir_drop.reference_ohms));
+                 fmt_f(cfg.transients.toward_on_fraction));
+  p.emplace_back("ir.wire_ohms", fmt_f(cfg.ir_drop.wire_ohms_per_cell));
+  p.emplace_back("ir.reference_ohms", fmt_f(cfg.ir_drop.reference_ohms));
   // 0 when quantization is off, so an fp32 checkpoint resumed with
   // --cell-bits (or vice versa) fails naming the decisive field.
   p.emplace_back("quant.cell_bits",
-                 std::to_string(cfg_.quant.enabled ? cfg_.quant.cell_bits
+                 std::to_string(cfg.quant.enabled ? cfg.quant.cell_bits
                                                    : 0));
-  p.emplace_back("quant.noise", fmt_f(cfg_.quant.program_noise_sigma));
-  p.emplace_back("quant.int8", fmt_b(cfg_.quant.int8_gemm));
+  p.emplace_back("quant.noise", fmt_f(cfg.quant.program_noise_sigma));
+  p.emplace_back("quant.int8", fmt_b(cfg.quant.int8_gemm));
   p.emplace_back("fault_target",
-                 std::to_string(static_cast<int>(cfg_.fault_target)));
-  p.emplace_back("policy", cfg_.policy);
-  p.emplace_back("xbar_size", std::to_string(cfg_.xbar_size));
-  p.emplace_back("mapping", std::to_string(static_cast<int>(cfg_.mapping)));
-  p.emplace_back("saturate_weights", fmt_b(cfg_.saturate_weights));
-  p.emplace_back("seed", std::to_string(cfg_.seed));
-  p.emplace_back("use_bist", fmt_b(cfg_.use_bist_estimates));
+                 std::to_string(static_cast<int>(cfg.fault_target)));
+  p.emplace_back("policy", cfg.policy);
+  p.emplace_back("xbar_size", std::to_string(cfg.xbar_size));
+  p.emplace_back("mapping", std::to_string(static_cast<int>(cfg.mapping)));
+  p.emplace_back("saturate_weights", fmt_b(cfg.saturate_weights));
+  p.emplace_back("seed", std::to_string(cfg.seed));
+  p.emplace_back("use_bist", fmt_b(cfg.use_bist_estimates));
   // No environment variable alters the arithmetic (REMAPD_THREADS cannot:
   // results are bitwise thread-count-invariant), so none is fingerprinted.
   return p;
@@ -169,7 +169,7 @@ void FaultAwareTrainer::write_sections(ckpt::CheckpointWriter& w) {
     meta.tasks = mapper_->num_tasks();
     meta.save(w.section("meta"));
   }
-  ckpt::save_string_pairs(w.section("config"), config_fingerprint());
+  ckpt::save_string_pairs(w.section("config"), config_fingerprint(cfg_));
   rng_.save_state(w.section("rng"));
   {
     ckpt::ByteWriter& mw = w.section("model");
@@ -265,7 +265,7 @@ void FaultAwareTrainer::read_sections(const ckpt::CheckpointReader& reader) {
     ckpt::ByteReader r = reader.open("config");
     const auto stored = ckpt::load_string_pairs(r);
     r.expect_end();
-    const auto current = config_fingerprint();
+    const auto current = config_fingerprint(cfg_);
     if (stored.size() != current.size())
       throw ckpt::CheckpointError(
           "config fingerprint has " + std::to_string(stored.size()) +

@@ -21,14 +21,17 @@ FaultScenario FaultScenario::uniform(double density) {
 
 FaultScenario FaultScenario::paper_default() { return FaultScenario{}; }
 
-FaultScenario FaultScenario::paper_default_compressed(
-    std::size_t epochs, std::size_t paper_epochs) {
+FaultScenario FaultScenario::paper_default_compressed(std::size_t epochs) {
+  const double e = static_cast<double>(std::max<std::size_t>(epochs, 1));
   FaultScenario s;
-  if (epochs == 0) epochs = 1;
-  s.post_xbar_fraction *= static_cast<double>(paper_epochs) /
-                          static_cast<double>(epochs);
-  if (s.post_xbar_fraction > 1.0) s.post_xbar_fraction = 1.0;
+  s.post_xbar_fraction = std::min(
+      1.0, s.post_xbar_fraction * (static_cast<double>(kPaperEpochs) / e));
   return s;
+}
+
+double FaultScenario::compressed_post_n(double n, std::size_t epochs) {
+  const double e = static_cast<double>(std::max<std::size_t>(epochs, 1));
+  return std::min(1.0, n * static_cast<double>(kPaperEpochs) / e);
 }
 
 FaultScenario FaultScenario::ideal() {

@@ -34,6 +34,7 @@ struct FaultScenario {
   bool mechanistic_endurance = false;
   EnduranceConfig endurance{};
 
+  static constexpr std::size_t kPaperEpochs = 50;  ///< the paper's horizon
   /// Uniform (non-clustered) variant used by ablations / Fig. 5.
   static FaultScenario uniform(double density);
   /// The Fig. 6 default configuration (per-epoch rates as in §IV.C,
@@ -42,9 +43,11 @@ struct FaultScenario {
   /// Time-compressed variant: our CPU-scale runs train for `epochs`
   /// (typically 6–10) instead of the paper's 50, so the per-epoch
   /// post-deployment rate is scaled to keep the *cumulative* wear-out
-  /// exposure equal: n_eff = n * paper_epochs / epochs.
-  static FaultScenario paper_default_compressed(std::size_t epochs,
-                                                std::size_t paper_epochs = 50);
+  /// exposure equal: n_eff = min(1, n * (kPaperEpochs / epochs)).
+  static FaultScenario paper_default_compressed(std::size_t epochs);
+  /// An explicit n compressed the same way but rounded as (n * kPaperEpochs)
+  /// / epochs: one ulp off the preset's at some epoch counts (0 counts as 1).
+  static double compressed_post_n(double n, std::size_t epochs);
   /// No faults at all (ideal hardware).
   static FaultScenario ideal();
 };

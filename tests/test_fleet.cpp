@@ -18,6 +18,7 @@
 #include "json_prefix.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trainer/fault_aware_trainer.hpp"
+#include "trainer/scenarios.hpp"
 #include "util/parallel.hpp"
 
 namespace remapd {
@@ -195,6 +196,96 @@ TEST(FleetJobfile, JsonErrorsNameFileAndLine) {
             "jobs.json: trailing comma at line 2 column 15");
   EXPECT_EQ(error_of("[\n {\"name\": \"a\"},\n 4\n]"),
             "jobs.json line 3: expected an object");
+}
+
+/// cell_bits / int8 travel through CSV and JSON alike; int8 without
+/// cell_bits is refused at load, naming the line.
+TEST(FleetJobfile, QuantFieldsParseInCsvAndJson) {
+  const std::vector<JobSpec> csv = parse_jobs_csv(
+      "name,cell_bits,int8\nq4,4,1\nq2,2,0\nfp,0,0\n", "q.csv");
+  const std::vector<JobSpec> json = parse_jobs_json(
+      R"([{"name":"q4","cell_bits":4,"int8":1},{"name":"q2","cell_bits":2},)"
+      R"( {"name":"fp"}])",
+      "q.json");
+  for (const auto* jobs : {&csv, &json}) {
+    ASSERT_EQ(jobs->size(), 3u);
+    EXPECT_EQ((*jobs)[0].cell_bits, 4u);
+    EXPECT_TRUE((*jobs)[0].int8);
+    EXPECT_EQ((*jobs)[1].cell_bits, 2u);
+    EXPECT_FALSE((*jobs)[1].int8);
+    EXPECT_EQ((*jobs)[2].cell_bits, 0u);
+    EXPECT_FALSE((*jobs)[2].int8);
+  }
+  auto error_of = [](auto parse) -> std::string {
+    try {
+      (void)parse();
+    } catch (const FleetError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string csv_err = error_of(
+      [] { return parse_jobs_csv("name,int8\nok,0\nbad,1\n", "q.csv"); });
+  EXPECT_NE(csv_err.find("q.csv line 3: int8 (--int8) requires cell_bits"),
+            std::string::npos)
+      << csv_err;
+  const std::string json_err = error_of([] {
+    return parse_jobs_json("[\n {\"name\": \"bad\", \"int8\": 1}\n]", "q.json");
+  });
+  EXPECT_NE(json_err.find("q.json line 2"), std::string::npos) << json_err;
+  EXPECT_THROW(parse_jobs_csv("name,cell_bits\na,5\n", "q.csv"), FleetError);
+}
+
+/// An unknown model or policy fails the load, naming file, line (the job's
+/// row or object) and field, instead of loading and failing the job at bind.
+TEST(FleetJobfile, RejectsUnknownModelAndPolicyNames) {
+  auto error_of = [](auto parse) -> std::string {
+    try {
+      (void)parse();
+    } catch (const FleetError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string model_err = error_of([] {
+    return parse_jobs_csv("name,model\nok,vgg11\nbad,bogus\n", "jobs.csv");
+  });
+  EXPECT_NE(model_err.find("jobs.csv line 3: model (--model): unknown name "
+                           "'bogus'"),
+            std::string::npos)
+      << model_err;
+  const std::string policy_err = error_of([] {
+    return parse_jobs_json(
+        "[\n {\"name\": \"a\",\n  \"policy\": \"bogus\"}\n]", "jobs.json");
+  });
+  EXPECT_NE(policy_err.find("jobs.json line 2: policy (--policy): unknown "
+                            "name 'bogus'"),
+            std::string::npos)
+      << policy_err;
+}
+
+/// A job's config is the builder's config for the same spec under `saf`.
+TEST(FleetJobfile, TrainerConfigIsTheBuildersConfig) {
+  JobSpec fp32 = tiny_job("fp32", 5, 3);
+  JobSpec q4 = tiny_job("q4", 6, 5);
+  q4.policy = "refresh";
+  q4.cell_bits = 4;
+  q4.int8 = true;
+  for (const JobSpec& j : {fp32, q4}) {
+    ExperimentSpec spec{.model = j.model,
+                        .policy = j.policy,
+                        .epochs = j.epochs,
+                        .train = j.train,
+                        .test = j.test,
+                        .seed = j.seed,
+                        .fault_model = "saf"};
+    if (j.cell_bits > 0)
+      spec.quant = {.enabled = true, .cell_bits = j.cell_bits,
+                    .int8_gemm = j.int8};
+    EXPECT_EQ(config_fingerprint(j.trainer_config()),
+              config_fingerprint(make_trainer_config(spec)))
+        << j.name;
+  }
 }
 
 // ------------------------------------------------------------ chip pool

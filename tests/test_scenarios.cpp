@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -318,6 +319,125 @@ TEST(ScenarioCatalog, PolicyRegistryNamesRoundTripThroughFactory) {
   EXPECT_TRUE(has_refresh);
   EXPECT_TRUE(has_xchangr);
   EXPECT_TRUE(has_drop);
+}
+
+// ---------------------------------------------------- experiment spec
+
+std::string error_of(const ExperimentSpec& spec) {
+  try {
+    (void)make_trainer_config(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Every preset x every fault edit: under a preset with stuck-at faults
+/// the edit lands in the built config; under one without, the builder
+/// refuses it naming both the edit and the preset.
+TEST(ExperimentSpec, EveryFaultEditChangesTheConfigOrIsRefused) {
+  struct Edit {
+    std::string flag;
+    void (*apply)(ExperimentSpec&);
+    bool (*landed)(const FaultScenario&);
+  };
+  const Edit edits[] = {
+      {"--pre-high", [](ExperimentSpec& s) { s.pre_high = 0.02; },
+       [](const FaultScenario& f) {
+         return f.high_density_hi == 0.02 && f.high_density_lo == 0.02 * 0.4;
+       }},
+      {"--post-m", [](ExperimentSpec& s) { s.post_m = 0.03; },
+       [](const FaultScenario& f) { return f.post_cell_fraction == 0.03; }},
+      {"--post-n", [](ExperimentSpec& s) { s.post_n = 0.02; },
+       // The paper's n, compressed to the run's 4 epochs.
+       [](const FaultScenario& f) {
+         return f.post_xbar_fraction == 0.02 * 50.0 / 4.0;
+       }},
+  };
+  for (const FaultModelSpec& fm : fault_model_registry()) {
+    const ExperimentSpec base{.epochs = 4, .fault_model = fm.name};
+    const auto before = config_fingerprint(make_trainer_config(base));
+    for (const Edit& e : edits) {
+      ExperimentSpec spec = base;
+      e.apply(spec);
+      if (fm.saf) {
+        const TrainerConfig cfg = make_trainer_config(spec);
+        EXPECT_NE(config_fingerprint(cfg), before) << fm.name << e.flag;
+        EXPECT_TRUE(e.landed(cfg.faults)) << fm.name << e.flag;
+      } else {
+        const std::string msg = error_of(spec);
+        EXPECT_NE(msg.find(e.flag), std::string::npos) << msg;
+        EXPECT_NE(msg.find("fault_model (--fault-model) is " + fm.name),
+                  std::string::npos)
+            << msg;
+      }
+    }
+  }
+}
+
+/// --post-n compresses to (n x 50) / epochs capped at 1, in bench_fig7's
+/// rounding order, including at epoch counts where that order shows.
+TEST(ExperimentSpec, PostNIsCompressedToTheFinalEpochs) {
+  for (std::size_t epochs : {1u, 3u, 7u, 8u}) {
+    for (double n : {0.001, 0.01, 0.02}) {
+      const ExperimentSpec spec{.epochs = epochs, .post_n = n};
+      EXPECT_EQ(make_trainer_config(spec).faults.post_xbar_fraction,
+                std::min(1.0, n * 50.0 / static_cast<double>(epochs)))
+          << epochs << " " << n;
+    }
+  }
+}
+
+/// No fault model means `saf`, compressed to the final epoch count — not
+/// to the model's default 8.
+TEST(ExperimentSpec, DefaultIsSafCompressedToTheFinalEpochs) {
+  for (std::size_t epochs : {2u, 3u, 8u, 20u}) {
+    TrainerConfig hand = recommended_config("squeezenet");
+    hand.epochs = epochs;
+    hand.faults = FaultScenario::paper_default_compressed(epochs);
+    const ExperimentSpec spec{.model = "squeezenet", .epochs = epochs};
+    EXPECT_EQ(config_fingerprint(make_trainer_config(spec)),
+              config_fingerprint(hand))
+        << epochs;
+    ExperimentSpec saf = spec;
+    saf.fault_model = "saf";
+    EXPECT_EQ(config_fingerprint(make_trainer_config(saf)),
+              config_fingerprint(hand))
+        << epochs;
+  }
+}
+
+/// `ideal` (which remapd_experiment's --ideal aliases) is the model's
+/// config with no faults of any kind.
+TEST(ExperimentSpec, IdealPresetIsTheFaultFreeConfig) {
+  TrainerConfig hand = recommended_config("resnet12");
+  hand.faults = FaultScenario::ideal();
+  EXPECT_EQ(config_fingerprint(make_trainer_config({.fault_model = "ideal"})),
+            config_fingerprint(hand));
+}
+
+TEST(ExperimentSpec, RefusalsNameTheFlag) {
+  EXPECT_NE(error_of({.model = "bogus"}).find("model (--model): unknown name"),
+            std::string::npos);
+  EXPECT_NE(
+      error_of({.policy = "bogus"}).find("policy (--policy): unknown name"),
+      std::string::npos);
+  EXPECT_NE(error_of({.fault_model = "bogus"}).find("--fault-model"),
+            std::string::npos);
+  ExperimentSpec int8_only;
+  int8_only.quant.int8_gemm = true;
+  EXPECT_NE(error_of(int8_only).find(
+                "int8 (--int8) requires cell_bits (--cell-bits)"),
+            std::string::npos);
+  ExperimentSpec noise_only;
+  noise_only.quant.program_noise_sigma = 0.5;
+  EXPECT_NE(error_of(noise_only).find("quant_noise (--quant-noise) requires"),
+            std::string::npos);
+  ExperimentSpec zero_bits;
+  zero_bits.quant.enabled = true;
+  zero_bits.quant.cell_bits = 0;
+  EXPECT_NE(error_of(zero_bits).find("cell_bits"), std::string::npos);
+  EXPECT_EQ(error_of({}), "");
 }
 
 // ------------------------------------------------- trainer-level runs

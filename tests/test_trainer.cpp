@@ -9,6 +9,7 @@
 #include "obs/jsonl.hpp"
 #include "obs/report.hpp"
 #include "trainer/fault_aware_trainer.hpp"
+#include "trainer/scenarios.hpp"
 
 namespace remapd {
 namespace {
@@ -166,17 +167,25 @@ TEST(Trainer, RecommendedConfigConstructsForEveryZooModel) {
 }
 
 TEST(Trainer, EnvOverridesApply) {
-  TrainerConfig cfg = tiny();
+  const ExperimentSpec spec{.model = "vgg11", .train = 48, .test = 32};
   setenv("REMAPD_EPOCHS", "3", 1);
   setenv("REMAPD_TRAIN", "64", 1);
   setenv("REMAPD_TEST", "16", 1);
-  apply_env_overrides(cfg);
+  const TrainerConfig scaled = make_bench_config(spec);
   unsetenv("REMAPD_EPOCHS");
   unsetenv("REMAPD_TRAIN");
   unsetenv("REMAPD_TEST");
-  EXPECT_EQ(cfg.epochs, 3u);
-  EXPECT_EQ(cfg.data.train, 64u);
-  EXPECT_EQ(cfg.data.test, 16u);
+  EXPECT_EQ(scaled.epochs, 3u);
+  EXPECT_EQ(scaled.data.train, 64u);
+  EXPECT_EQ(scaled.data.test, 16u);
+  // ... and the preset compresses to the overridden epochs.
+  EXPECT_EQ(scaled.faults.post_xbar_fraction,
+            FaultScenario::paper_default_compressed(3).post_xbar_fraction);
+  // Unset variables keep the spec's values (or the model's, for epochs).
+  const TrainerConfig plain = make_bench_config(spec);
+  EXPECT_EQ(plain.epochs, recommended_config("vgg11").epochs);
+  EXPECT_EQ(plain.data.train, 48u);
+  EXPECT_EQ(plain.data.test, 32u);
 }
 
 TEST(Trainer, UnknownModelOrPolicyThrows) {
