@@ -9,9 +9,12 @@ void relu_inplace(Tensor& x, Tensor* mask) {
   const std::size_t n = x.numel();
   // Branch-free selects under `omp simd`: the sign of an activation is a
   // coin flip, so a per-element branch mispredicts about half the time.
+  // `!(v <= 0)` rather than `v > 0`: a NaN is kept (mask 1) and reaches
+  // the loss instead of vanishing into a zero.
   if (!mask) {
 #pragma omp simd
-    for (std::size_t i = 0; i < n; ++i) v[i] = v[i] > 0.0f ? v[i] : 0.0f;
+    for (std::size_t i = 0; i < n; ++i)
+      v[i] = !(v[i] <= 0.0f) ? v[i] : 0.0f;
     return;
   }
   // Every element is written below, so a mask of the right shape from the
@@ -20,7 +23,7 @@ void relu_inplace(Tensor& x, Tensor* mask) {
   float* __restrict m = mask->data();
 #pragma omp simd
   for (std::size_t i = 0; i < n; ++i) {
-    const bool keep = v[i] > 0.0f;
+    const bool keep = !(v[i] <= 0.0f);
     m[i] = keep ? 1.0f : 0.0f;
     v[i] = keep ? v[i] : 0.0f;
   }

@@ -6,9 +6,10 @@
 
 namespace remapd {
 
-/// ReLU in place: keeps v where v > 0 and writes +0.0f everywhere else
-/// (NaN and -0 included). With `mask` non-null it is reset to x's shape
-/// and holds 1 where v was kept, 0 elsewhere.
+/// ReLU in place: keeps v where v > 0 or v is NaN, and writes +0.0f
+/// everywhere else (-0 included), so a non-finite activation reaches the
+/// loss. With `mask` non-null it is reset to x's shape and holds 1 where v
+/// was kept, 0 elsewhere.
 void relu_inplace(Tensor& x, Tensor* mask);
 
 /// ReLU backward in place: dy[i] *= mask[i].

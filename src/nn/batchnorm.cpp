@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
+
+#include "nn/channel_groups.hpp"
 
 namespace remapd {
 namespace {
@@ -15,6 +18,19 @@ ChannelGeom geom_of(const Shape& s) {
   if (s.rank() == 2) return {s[0], s[1], 1};
   if (s.rank() == 4) return {s[0], s[1], s[2] * s[3]};
   throw std::invalid_argument("batchnorm: rank must be 2 or 4");
+}
+
+/// Walks a group of channels starting at c0 in lockstep, in (sample,
+/// position) order: `step(e)` gets the flat index of channel c0's element
+/// at that (sample, position); channel c0 + j's is e + j * spatial. Each
+/// channel therefore sees its elements in the order a walk over that
+/// channel alone would, so a per-channel sum adds the same sequence.
+template <class F>
+void walk_group(const ChannelGeom& g, std::size_t c0, F&& step) {
+  for (std::size_t i = 0; i < g.n; ++i) {
+    const std::size_t plane = (i * g.c + c0) * g.spatial;
+    for (std::size_t k = 0; k < g.spatial; ++k) step(plane + k);
+  }
 }
 
 }  // namespace
@@ -44,65 +60,85 @@ Tensor BatchNorm::forward(const Tensor& x, bool train) {
 
   // Every element of y (and of xhat_ in training) is written below.
   Tensor y = Tensor::uninitialized(x.shape());
+  // Per-channel (mean, var): the batch's in training, else the window's or
+  // the EMA's.
+  std::vector<double> mean(channels_), var(channels_);
   if (train) {
     if (!(xhat_.shape() == x.shape()))
       xhat_ = Tensor::uninitialized(x.shape());
     batch_inv_std_.assign(channels_, 0.0f);
     input_shape_ = x.shape();
+    for_channel_groups<8>(channels_, [&](auto width, std::size_t c0) {
+      constexpr std::size_t W = decltype(width)::value;
+      const float* xs = x.data();
+      double s[W] = {};
+      walk_group(g, c0, [&](std::size_t e) {
+#pragma GCC unroll 8
+        for (std::size_t j = 0; j < W; ++j) s[j] += xs[e + j * g.spatial];
+      });
+      double m[W] = {}, v[W] = {};
+      for (std::size_t j = 0; j < W; ++j)
+        m[j] = mean[c0 + j] = s[j] / static_cast<double>(count);
+      walk_group(g, c0, [&](std::size_t e) {
+#pragma GCC unroll 8
+        for (std::size_t j = 0; j < W; ++j) {
+          const double d = xs[e + j * g.spatial] - m[j];
+          v[j] += d * d;
+        }
+      });
+      for (std::size_t j = 0; j < W; ++j)
+        var[c0 + j] = v[j] / static_cast<double>(count);
+    });
   }
 
   for (std::size_t ch = 0; ch < channels_; ++ch) {
-    double mean, var;
     if (train) {
-      double s = 0.0;
-      for (std::size_t i = 0; i < g.n; ++i) {
-        const float* p = x.data() + (i * g.c + ch) * g.spatial;
-        for (std::size_t k = 0; k < g.spatial; ++k) s += p[k];
-      }
-      mean = s / static_cast<double>(count);
-      double v = 0.0;
-      for (std::size_t i = 0; i < g.n; ++i) {
-        const float* p = x.data() + (i * g.c + ch) * g.spatial;
-        for (std::size_t k = 0; k < g.spatial; ++k)
-          v += (p[k] - mean) * (p[k] - mean);
-      }
-      var = v / static_cast<double>(count);
       running_mean_[ch] = (1.0f - momentum_) * running_mean_[ch] +
-                          momentum_ * static_cast<float>(mean);
+                          momentum_ * static_cast<float>(mean[ch]);
       running_var_[ch] = (1.0f - momentum_) * running_var_[ch] +
-                         momentum_ * static_cast<float>(var);
+                         momentum_ * static_cast<float>(var[ch]);
       // Chan et al. parallel merge of (count, mean, M2): the pooled window
       // variance includes the spread of the batch means, exactly matching
       // a direct computation over every sample in the window.
       {
         const double nb = static_cast<double>(count);
         const double nw = window_count_;
-        const double delta = mean - window_mean_[ch];
+        const double delta = mean[ch] - window_mean_[ch];
         const double n_new = nw + nb;
         window_mean_[ch] += delta * nb / n_new;
-        window_m2_[ch] += var * nb + delta * delta * nw * nb / n_new;
+        window_m2_[ch] += var[ch] * nb + delta * delta * nw * nb / n_new;
         // Every channel of a batch merges the same sample count; advance
         // the shared counter once per batch, after the last channel.
         if (ch + 1 == channels_) window_count_ = n_new;
       }
     } else if (window_count_ > 0.0) {
-      mean = window_mean_[ch];
-      var = window_m2_[ch] / window_count_;
+      mean[ch] = window_mean_[ch];
+      var[ch] = window_m2_[ch] / window_count_;
     } else {
-      mean = running_mean_[ch];
-      var = running_var_[ch];
+      mean[ch] = running_mean_[ch];
+      var[ch] = running_var_[ch];
     }
-    const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
-    if (train) batch_inv_std_[ch] = inv_std;
+    const float inv_std =
+        1.0f / std::sqrt(static_cast<float>(var[ch]) + eps_);
+    const float mu = static_cast<float>(mean[ch]);
     const float gm = gamma_.value[ch], bt = beta_.value[ch];
+    if (train) batch_inv_std_[ch] = inv_std;
     for (std::size_t i = 0; i < g.n; ++i) {
-      const float* p = x.data() + (i * g.c + ch) * g.spatial;
-      float* q = y.data() + (i * g.c + ch) * g.spatial;
-      float* h = train ? xhat_.data() + (i * g.c + ch) * g.spatial : nullptr;
-      for (std::size_t k = 0; k < g.spatial; ++k) {
-        const float norm = (p[k] - static_cast<float>(mean)) * inv_std;
-        if (h) h[k] = norm;
-        q[k] = gm * norm + bt;
+      const std::size_t off = (i * g.c + ch) * g.spatial;
+      const float* __restrict p = x.data() + off;
+      float* __restrict q = y.data() + off;
+      if (train) {
+        float* __restrict h = xhat_.data() + off;
+#pragma omp simd
+        for (std::size_t k = 0; k < g.spatial; ++k) {
+          const float norm = (p[k] - mu) * inv_std;
+          h[k] = norm;
+          q[k] = gm * norm + bt;
+        }
+      } else {
+#pragma omp simd
+        for (std::size_t k = 0; k < g.spatial; ++k)
+          q[k] = gm * ((p[k] - mu) * inv_std) + bt;
       }
     }
   }
@@ -114,31 +150,45 @@ Tensor BatchNorm::backward(const Tensor& dy) {
   const auto g = geom_of(input_shape_);
   const auto count = static_cast<float>(g.n * g.spatial);
 
+  // Standard BN backward:
+  // dx = gamma*inv_std/count * (count*dy - sum(dy) - xhat*sum(dy*xhat))
+  // Two accumulators per channel, so groups of 4 keep all 8 in registers.
+  std::vector<double> sum_dy(channels_), sum_dy_xhat(channels_);
+  for_channel_groups<4>(channels_, [&](auto width, std::size_t c0) {
+    constexpr std::size_t W = decltype(width)::value;
+    const float* d = dy.data();
+    const float* h = xhat_.data();
+    double sd[W] = {}, sdh[W] = {};
+    walk_group(g, c0, [&](std::size_t e) {
+#pragma GCC unroll 4
+      for (std::size_t j = 0; j < W; ++j) {
+        const float dv = d[e + j * g.spatial];
+        sd[j] += dv;
+        sdh[j] += static_cast<double>(dv) * h[e + j * g.spatial];
+      }
+    });
+    for (std::size_t j = 0; j < W; ++j) {
+      sum_dy[c0 + j] = sd[j];
+      sum_dy_xhat[c0 + j] = sdh[j];
+    }
+  });
+
   Tensor dx = Tensor::uninitialized(input_shape_);
   for (std::size_t ch = 0; ch < channels_; ++ch) {
-    // Standard BN backward:
-    // dx = gamma*inv_std/count * (count*dy - sum(dy) - xhat*sum(dy*xhat))
-    double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    for (std::size_t i = 0; i < g.n; ++i) {
-      const float* d = dy.data() + (i * g.c + ch) * g.spatial;
-      const float* h = xhat_.data() + (i * g.c + ch) * g.spatial;
-      for (std::size_t k = 0; k < g.spatial; ++k) {
-        sum_dy += d[k];
-        sum_dy_xhat += static_cast<double>(d[k]) * h[k];
-      }
-    }
-    gamma_.grad[ch] += static_cast<float>(sum_dy_xhat);
-    beta_.grad[ch] += static_cast<float>(sum_dy);
+    gamma_.grad[ch] += static_cast<float>(sum_dy_xhat[ch]);
+    beta_.grad[ch] += static_cast<float>(sum_dy[ch]);
 
     const float scale = gamma_.value[ch] * batch_inv_std_[ch] / count;
+    const float sdy = static_cast<float>(sum_dy[ch]);
+    const float sdh = static_cast<float>(sum_dy_xhat[ch]);
     for (std::size_t i = 0; i < g.n; ++i) {
-      const float* d = dy.data() + (i * g.c + ch) * g.spatial;
-      const float* h = xhat_.data() + (i * g.c + ch) * g.spatial;
-      float* o = dx.data() + (i * g.c + ch) * g.spatial;
-      for (std::size_t k = 0; k < g.spatial; ++k) {
-        o[k] = scale * (count * d[k] - static_cast<float>(sum_dy) -
-                        h[k] * static_cast<float>(sum_dy_xhat));
-      }
+      const std::size_t off = (i * g.c + ch) * g.spatial;
+      const float* __restrict d = dy.data() + off;
+      const float* __restrict h = xhat_.data() + off;
+      float* __restrict o = dx.data() + off;
+#pragma omp simd
+      for (std::size_t k = 0; k < g.spatial; ++k)
+        o[k] = scale * (count * d[k] - sdy - h[k] * sdh);
     }
   }
   return dx;

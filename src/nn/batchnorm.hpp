@@ -1,6 +1,13 @@
 // Batch normalization over channels of a rank-4 tensor (or features of a
 // rank-2 tensor). Scale/shift parameters live in CMOS functional units in
 // the target RCS, so they are never faulted or remapped.
+//
+// Each per-channel statistic (the forward sum and centered sum of squares,
+// the backward sum(dy) and sum(dy*xhat)) is one serial double sum over
+// (sample, position). Channels are summed side by side in lockstep groups
+// (nn/channel_groups.hpp), never split, so every sum keeps its order and
+// bits; the normalize and dx passes are elementwise and vectorized (DESIGN
+// §9). tests/batchnorm_reference.hpp holds the scalar reference.
 #pragma once
 
 #include "nn/layer.hpp"

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "nn/channel_groups.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tensor/gemm.hpp"
 #include "util/parallel.hpp"
@@ -216,12 +217,14 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
       wpack.multiply(ld, conv_operand(padded, g, offs, false), 0.0f, yp, ld);
     }
     // Scatter into y (sample-major) with the bias broadcast over spatial
-    // positions.
+    // positions. A one-sample panel is y itself, so src may equal dst (no
+    // __restrict); each element still reads and writes only its own index.
     for (std::size_t i = s0; i < s1; ++i) {
       for (std::size_t o = 0; o < out_ch_; ++o) {
         const float* src = yp + o * ld + (i - s0) * cc;
         float* dst = y.data() + (i * out_ch_ + o) * cc;
         const float b = bias_.value[o];
+#pragma omp simd
         for (std::size_t p = 0; p < cc; ++p) dst[p] = src[p] + b;
       }
     }
@@ -337,21 +340,31 @@ Tensor Conv2d::backward(const Tensor& dy) {
                conv_operand(last_padded_.buf.data() + i * psz, g, offsets_,
                             true),
                i == s0 ? 0.0f : 1.0f, dw, cr);
-          for (std::size_t o = 0; o < out_ch_; ++o) {
-            const float* plane = dyi + o * cc;
-            float s = 0.0f;
-            for (std::size_t p = 0; p < cc; ++p) s += plane[p];
-            db[o] += s;
-          }
+          // db_blk += each dy plane's serial float sum, planes summed in
+          // lockstep (nn/channel_groups.hpp).
+          for_channel_groups<8>(out_ch_, [&](auto width, std::size_t o0) {
+            constexpr std::size_t W = decltype(width)::value;
+            const float* planes = dyi + o0 * cc;
+            float s[W] = {};
+            for (std::size_t p = 0; p < cc; ++p) {
+#pragma GCC unroll 8
+              for (std::size_t j = 0; j < W; ++j) s[j] += planes[j * cc + p];
+            }
+            for (std::size_t j = 0; j < W; ++j) db[o0 + j] += s[j];
+          });
         }
       }
     });
-    // Fixed-order merge of this wave's partials.
+    // Fixed-order merge of this wave's partials: each gradient element
+    // adds its partials in block order, independently of every other.
+    float* __restrict gw = weight_.grad.data();
+    float* __restrict gb = bias_.grad.data();
     for (std::size_t blk = w0; blk < w1; ++blk) {
-      const float* dw = partials + (blk - w0) * slot;
-      for (std::size_t e = 0; e < wn; ++e) weight_.grad[e] += dw[e];
-      for (std::size_t o = 0; o < out_ch_; ++o)
-        bias_.grad[o] += dw[wn + o];
+      const float* __restrict dw = partials + (blk - w0) * slot;
+#pragma omp simd
+      for (std::size_t e = 0; e < wn; ++e) gw[e] += dw[e];
+#pragma omp simd
+      for (std::size_t o = 0; o < out_ch_; ++o) gb[o] += dw[wn + o];
     }
   }
   // Gradient components that traverse stuck backward-array cells are

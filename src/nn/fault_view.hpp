@@ -19,6 +19,7 @@
 // physical crossbar; the view is rebuilt from the new crossbar's fault mask.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -131,10 +132,15 @@ struct FaultView {
                               std::to_string(gain.size()) +
                               " factors for " + std::to_string(n) +
                               " weights");
-    if (gain.empty())
-      for (std::size_t i = 0; i < n; ++i) out[i] = w[i];
-    else
-      for (std::size_t i = 0; i < n; ++i) out[i] = w[i] * gain[i];
+    if (gain.empty()) {
+      std::copy(w, w + n, out);
+    } else {
+      const float* __restrict src = w;
+      const float* __restrict gn = gain.data();
+      float* __restrict dst = out;
+#pragma omp simd
+      for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] * gn[i];
+    }
     for (const auto& c : clamps) {
       if (c.index >= n)
         throw std::out_of_range("FaultView::apply: clamp index " +

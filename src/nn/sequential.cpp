@@ -61,8 +61,10 @@ Tensor ResidualBlock::forward(const Tensor& x, bool train) {
   relu_inplace(main, train ? &relu1_mask_ : nullptr);
   main = bn2_.forward(conv2_.forward(main, train), train);
 
-  Tensor skip =
-      proj_ ? proj_bn_->forward(proj_->forward(x, train), train) : x;
+  // Without a projection the skip path is x itself, read in place.
+  Tensor projected;
+  if (proj_) projected = proj_bn_->forward(proj_->forward(x, train), train);
+  const Tensor& skip = proj_ ? projected : x;
   if (!(skip.shape() == main.shape()))
     throw std::logic_error(tag_ + ": skip/main shape mismatch");
   main.add_(skip);
@@ -76,9 +78,11 @@ Tensor ResidualBlock::backward(const Tensor& dy) {
   Tensor d = dy;
   relu_backward_inplace(d, out_mask_);
 
-  // Skip path gradient.
-  Tensor dskip =
-      proj_ ? proj_->backward(proj_bn_->backward(d)) : d;
+  // Skip path gradient; without a projection it is d itself, read in
+  // place (nothing below writes d).
+  Tensor projected;
+  if (proj_) projected = proj_->backward(proj_bn_->backward(d));
+  const Tensor& dskip = proj_ ? projected : d;
 
   // Main path gradient.
   Tensor dmain = conv2_.backward(bn2_.backward(d));

@@ -25,14 +25,20 @@ void Sgd::step() {
       scale = static_cast<float>(cfg_.grad_clip / norm);
   }
 
+  // The update is elementwise: each weight reads only its own gradient
+  // and velocity.
+  const float wd = cfg_.weight_decay, mom = cfg_.momentum, lr = cfg_.lr;
   for (std::size_t k = 0; k < params_.size(); ++k) {
     Param* p = params_[k];
-    Tensor& v = velocity_[k];
-    for (std::size_t i = 0; i < p->value.numel(); ++i) {
-      const float g =
-          p->grad[i] * scale + cfg_.weight_decay * p->value[i];
-      v[i] = cfg_.momentum * v[i] + g;
-      p->value[i] -= cfg_.lr * v[i];
+    float* __restrict w = p->value.data();
+    float* __restrict v = velocity_[k].data();
+    const float* __restrict gr = p->grad.data();
+    const std::size_t n = p->value.numel();
+#pragma omp simd
+    for (std::size_t i = 0; i < n; ++i) {
+      const float g = gr[i] * scale + wd * w[i];
+      v[i] = mom * v[i] + g;
+      w[i] -= lr * v[i];
     }
     p->zero_grad();
   }

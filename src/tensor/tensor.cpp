@@ -83,21 +83,33 @@ void Tensor::fill(float v) {
   for (auto& x : data_) x = v;
 }
 
+// Elementwise updates: each element depends only on its own index, so the
+// loops run under `omp simd`.
 void Tensor::add_(const Tensor& other) {
   if (!(shape_ == other.shape_))
     throw std::invalid_argument("Tensor::add_: shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
+  float* __restrict a = data_.data();
+  const float* __restrict b = other.data_.data();
+  const std::size_t n = data_.size();
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i) a[i] += b[i];
 }
 
 void Tensor::axpy_(float alpha, const Tensor& other) {
   if (!(shape_ == other.shape_))
     throw std::invalid_argument("Tensor::axpy_: shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    data_[i] += alpha * other.data_[i];
+  float* __restrict a = data_.data();
+  const float* __restrict b = other.data_.data();
+  const std::size_t n = data_.size();
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i) a[i] += alpha * b[i];
 }
 
 void Tensor::scale_(float alpha) {
-  for (auto& x : data_) x *= alpha;
+  float* __restrict a = data_.data();
+  const std::size_t n = data_.size();
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i) a[i] *= alpha;
 }
 
 float Tensor::sum() const {

@@ -3,7 +3,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 
+#include "batchnorm_reference.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
@@ -222,8 +225,8 @@ TEST(ReLU, ForwardAndMaskedBackward) {
   EXPECT_FLOAT_EQ(dx[3], 1.0f);
 }
 
-TEST(ReLU, InPlaceHelperZeroesEverythingNotPositive) {
-  // v > 0 keeps v with mask 1; 0, -0, negatives and NaN all become +0
+TEST(ReLU, InPlaceHelperZeroesNonPositiveAndKeepsNaN) {
+  // v > 0 and NaN keep v with mask 1; 0, -0 and negatives all become +0
   // with mask 0. A stale mask of the right shape is fully overwritten.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
@@ -233,8 +236,8 @@ TEST(ReLU, InPlaceHelperZeroesEverythingNotPositive) {
                                   tiny});
   Tensor mask(Shape{8}, 7.0f);
   relu_inplace(x, &mask);
-  const float want_y[8] = {1.5f, 0.0f, 0.0f, 0.0f, 0.0f, inf, 0.0f, tiny};
-  const float want_m[8] = {1, 0, 0, 0, 0, 1, 0, 1};
+  const float want_y[8] = {1.5f, 0.0f, 0.0f, 0.0f, nan, inf, 0.0f, tiny};
+  const float want_m[8] = {1, 0, 0, 0, 1, 1, 0, 1};
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(std::memcmp(&x[i], &want_y[i], sizeof(float)), 0) << i;
     EXPECT_EQ(mask[i], want_m[i]) << i;
@@ -348,6 +351,67 @@ TEST(BatchNorm, Rank2AndRank4Supported) {
   BatchNorm wrong(5);
   EXPECT_THROW(wrong.forward(Tensor::randn(Shape{3, 4}, rng), true),
                std::invalid_argument);
+}
+
+/// Same shape and the same bytes, NaN payloads and signed zeros included.
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+template <class T>
+std::string state_bytes(const T& s) {
+  ckpt::ByteWriter w;
+  s.save_state(w);
+  return w.bytes();
+}
+
+TEST(BatchNorm, BitwiseTheScalarReference) {
+  // Training (two batches, so the window merges), eval on the open window
+  // and eval on the EMA fallback, against the one-channel-at-a-time
+  // scalar loops. Channel counts cover full 8- and 4-wide groups and every
+  // leftover width; one channel holds NaN and +-inf, which must stay in
+  // that channel.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const std::size_t c : {1, 3, 6, 8, 12, 20, 64}) {
+    for (const std::size_t rank : {2, 4}) {
+      SCOPED_TRACE("channels " + std::to_string(c) + ", rank " +
+                   std::to_string(rank));
+      const Shape shape = rank == 2 ? Shape{9, c} : Shape{3, c, 5, 7};
+      const std::size_t sp = rank == 2 ? 1 : 35;
+      Rng rng(40 + c + rank);
+      BatchNorm bn(c);
+      BatchNormReference ref(c);
+      std::vector<Param*> p = bn.params();
+      p[0]->value = ref.gamma = Tensor::randn(Shape{c}, rng);
+      p[1]->value = ref.beta = Tensor::randn(Shape{c}, rng);
+
+      Tensor x1 = Tensor::randn(shape, rng, 3.0f);
+      const std::size_t bad = c / 2;
+      x1[(0 * c + bad) * sp] = nan;
+      x1[(1 * c + bad) * sp] = inf;
+      x1[(2 * c + bad) * sp] = -inf;
+      const Tensor x2 = Tensor::randn(shape, rng, 0.5f);
+      for (const Tensor* x : {&std::as_const(x1), &x2}) {
+        EXPECT_TRUE(same_bits(bn.forward(*x, true), ref.forward(*x, true)));
+        const Tensor dy = Tensor::randn(shape, rng);
+        EXPECT_TRUE(same_bits(bn.backward(dy), ref.backward(dy)));
+        EXPECT_TRUE(same_bits(p[0]->grad, ref.gamma_grad));
+        EXPECT_TRUE(same_bits(p[1]->grad, ref.beta_grad));
+        EXPECT_EQ(state_bytes(bn), state_bytes(ref));
+      }
+
+      const Tensor probe = Tensor::randn(shape, rng, 2.0f);
+      EXPECT_TRUE(same_bits(bn.forward(probe, false),
+                            ref.forward(probe, false)));
+      bn.begin_stats_window();
+      ref.begin_stats_window();
+      EXPECT_TRUE(same_bits(bn.forward(probe, false),
+                            ref.forward(probe, false)));
+      EXPECT_EQ(state_bytes(bn), state_bytes(ref));
+    }
+  }
 }
 
 // -------------------------------------------------------------------- Loss

@@ -393,6 +393,25 @@ TEST(ParallelConvBlocking, MatchesPerSampleReferenceBitwise) {
   }
 }
 
+TEST(ParallelConvBlocking, WideLayersMatchPerSampleReferenceBitwise) {
+  // db sums 8 dy planes in lockstep; 8, 13 and 20 output channels run
+  // full 8-wide groups and each narrower leftover width (the cases above
+  // have 5 and 7).
+  for (const std::size_t out_ch : {8, 13, 20}) {
+    const ConvCase k{3, out_ch, 3, 1, 1, 6, 6};
+    Rng rng(out_ch);
+    const Tensor w = Tensor::randn(Shape{out_ch, 27}, rng);
+    const Tensor bias = Tensor::randn(Shape{out_ch}, rng);
+    const Tensor x = Tensor::randn(Shape{5, 3, 6, 6}, rng);
+    const Tensor dy = Tensor::randn(Shape{5, out_ch, 6, 6}, rng);
+    const ConvResult want = reference_conv(k, w, bias, x, dy, 0.0f);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}})
+      expect_bitwise(blocked_conv(k, w, bias, x, dy, nullptr, threads), want,
+                     std::to_string(out_ch) + " channels, threads=" +
+                         std::to_string(threads));
+  }
+}
+
 TEST(ParallelConvBlocking, Int8ScaleIsTakenOverThePixelsThePanelReads) {
   // A 1x1 stride-2 shortcut never reads odd rows/columns. A huge or NaN
   // value there must neither set a sample's activation scale nor push it

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -42,6 +43,21 @@ TEST(Trainer, IdealRunProducesHistory) {
   }
   EXPECT_EQ(r.final_test_accuracy, r.history.back().test_accuracy);
   EXPECT_EQ(r.total_remaps, 0u);
+}
+
+TEST(Trainer, NanConvWeightReachesTheLoss) {
+  // ReLU passes NaN through, so one diverged conv weight shows up in the
+  // first epoch's loss instead of being zeroed away downstream.
+  TrainerConfig cfg = tiny("resnet12");
+  cfg.epochs = 1;
+  cfg.faults = FaultScenario::ideal();
+  FaultAwareTrainer t(cfg);
+  // The first crossbar-mapped layer is resnet12's stem conv.
+  t.model().faultable().front()->weight_param().value[0] =
+      std::numeric_limits<float>::quiet_NaN();
+  const TrainResult r = t.run();
+  ASSERT_EQ(r.history.size(), 1u);
+  EXPECT_FALSE(std::isfinite(r.history[0].train_loss));
 }
 
 TEST(Trainer, LossDecreasesOnIdealHardware) {
